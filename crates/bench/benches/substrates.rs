@@ -164,21 +164,24 @@ fn bench_prefix_frontier(c: &mut Criterion) {
     // The same lookups through a fresh cache pre-warmed in plan-DFS
     // order: each scheme's BFS resumes its parent's cached frontier
     // ("parent + 1 step"), and the per-target lookups then hit the fact
-    // tier.
+    // tier. The cache stores the plan's persist prefixes, as the dynamic
+    // phase's does.
+    let persist = std::sync::Arc::new(plan.persist_prefixes());
     group.bench_function("plan_cached", |b| {
         b.iter(|| {
-            let mut cache = DistCache::new();
+            let mut cache = DistCache::new(std::sync::Arc::clone(&persist));
             cache.ensure_bound(&ds.db, LIMIT);
+            let mut view = cache.view();
             let mut live = 0usize;
             for &start in &starts {
                 for idx in plan.dfs() {
                     let node = plan.node(idx);
                     if node.is_scheme() {
-                        cache.fact_distribution(&ds.db, node.prefix(), start);
+                        view.fact_distribution(&ds.db, node.prefix(), start);
                     }
                 }
                 for t in &targets {
-                    if cache
+                    if view
                         .fact_distribution(&ds.db, &t.scheme, start)
                         .exists()
                         .is_some()

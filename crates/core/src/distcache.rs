@@ -14,16 +14,16 @@
 //! * [`FactDistribution`] is keyed by `(scheme, start)`;
 //! * [`ValueDistribution`] by `(scheme, attr, start)`;
 //! * [`FrontierState`] (the **prefix tier**) by `(prefix, start)` where
-//!   `prefix` is a step sequence shared by several schemes;
-//! * exact KD values (the **KD tier**) by `(scheme, attr, f1, f2)` —
-//!   the key is *directional* because [`crate::kd::kd_exact`] iterates
-//!   `p` then `q` and float addition does not reassociate, so `(f1, f2)`
-//!   and `(f2, f1)` are distinct cache lines by design;
-//! * all four are valid only for one `(db_id, epoch, support_limit)`
-//!   triple. KD entries are additionally valid only under the kernel
-//!   assignment of the embedding that computed them — which holds
-//!   because kernels are fixed at train time and each embedding owns its
-//!   cache.
+//!   `prefix` is a step sequence shared by several schemes; only the
+//!   prefixes in the cache's **persist set** (fixed at construction,
+//!   typically [`crate::plan::SchemePlan::persist_prefixes`]) are stored;
+//! * all three are valid only for one `(db_id, epoch, support_limit)`
+//!   triple.
+//!
+//! KD values themselves are not cached: the dynamic phase prices every
+//! equation against `f2 = f_new`, which is new on every extension, so a
+//! value-level tier could only hit when the same fact is solved twice on
+//! an unchanged database.
 //!
 //! The prefix tier is what makes the scheme plan
 //! ([`crate::plan::SchemePlan`]) pay off: walk schemes share step
@@ -69,11 +69,13 @@
 //! distributions are deterministic in their key (supports are canonically
 //! ordered — see [`FactDistribution::support`]), and no RNG is ever
 //! consumed on the exact path, so a cache hit cannot shift any random
-//! stream. Sharded callers take a read-only [`DistCache::view`] per work
-//! item, record misses in a private [`DistCacheDelta`], and
-//! [`DistCache::absorb`] the deltas **in item order** after the parallel
-//! section — the shard count decides only *when* a miss is computed, never
-//! *what* any caller observes.
+//! stream. Every lookup goes through a read-only [`DistCache::view`]:
+//! it probes the shared base, then its own private [`DistCacheDelta`],
+//! where it also records its misses. Callers [`DistCache::absorb`] the
+//! deltas **in item order** — sharded sections after the parallel
+//! section, serial passes (such as the extension pre-warm) when they
+//! finish — so the shard count decides only *when* a miss is computed,
+//! never *what* any caller observes.
 
 use crate::schemes::{ReachScope, SchemeReach, Step, WalkScheme};
 use crate::walkdist::{
@@ -82,6 +84,7 @@ use crate::walkdist::{
     FrontierState, ValueDistribution,
 };
 use reldb::{Database, Fact, FactId, MutationKind, MutationRecord};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -112,30 +115,80 @@ type ValueMap = BTreeMap<WalkScheme, BTreeMap<(usize, FactId), CachedValueDist>>
 // scheme being assembled (no allocation per probe). The empty prefix is
 // never cached — rebuilding it is one `frontier_start`.
 type PrefixMap = BTreeMap<Vec<Step>, BTreeMap<FactId, CachedFrontier>>;
-// KD tier: directional `(attr, f1, f2)` under the scheme (see module
-// docs). Only *exact* KD values land here — the Monte-Carlo fallback
-// consumes RNG and is never cached.
-type KdMap = BTreeMap<WalkScheme, BTreeMap<(usize, FactId, FactId), f64>>;
 
 fn map_len<K, K2, V>(map: &BTreeMap<K, BTreeMap<K2, V>>) -> usize {
     map.values().map(std::collections::BTreeMap::len).sum()
 }
 
-fn put<K2: Ord, V>(
-    map: &mut BTreeMap<WalkScheme, BTreeMap<K2, V>>,
-    scheme: &WalkScheme,
-    key: K2,
-    value: V,
-) {
-    match map.get_mut(scheme) {
-        Some(inner) => {
-            inner.insert(key, value);
+/// Insert `value` at `map[key][inner]`. Only the first entry under a
+/// key pays for cloning it.
+fn put<K, Q, K2: Ord, V>(map: &mut BTreeMap<K, BTreeMap<K2, V>>, key: &Q, inner: K2, value: V)
+where
+    K: Borrow<Q> + Ord,
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+{
+    match map.get_mut(key) {
+        Some(entries) => {
+            entries.insert(inner, value);
         }
         None => {
-            // Only the first entry of a scheme pays for cloning it.
-            map.entry(scheme.clone()).or_default().insert(key, value);
+            map.entry(key.to_owned()).or_default().insert(inner, value);
         }
     }
+}
+
+/// `map[key][inner]` from the shared base first, then the private delta.
+fn probe<'m, K, Q, K2: Ord, V>(
+    maps: [&'m BTreeMap<K, BTreeMap<K2, V>>; 2],
+    key: &Q,
+    inner: &K2,
+) -> Option<&'m V>
+where
+    K: Borrow<Q> + Ord,
+    Q: Ord + ?Sized,
+{
+    maps.into_iter().find_map(|map| map.get(key)?.get(inner))
+}
+
+/// Move `from`'s entries into `into`, keeping entries `into` already has.
+fn merge<K: Ord, K2: Ord, V>(
+    into: &mut BTreeMap<K, BTreeMap<K2, V>>,
+    from: BTreeMap<K, BTreeMap<K2, V>>,
+) {
+    for (key, entries) in from {
+        let target = into.entry(key).or_default();
+        for (k, v) in entries {
+            target.entry(k).or_insert(v);
+        }
+    }
+}
+
+/// Evict the entries of `map[key]` whose start fact (`start_of` the inner
+/// key) is in `starts` — all of them when `starts` is `None` — and drop
+/// the inner map once empty. Returns the number evicted.
+fn evict<K, Q, K2: Ord, V>(
+    map: &mut BTreeMap<K, BTreeMap<K2, V>>,
+    key: &Q,
+    starts: Option<&[FactId]>,
+    start_of: impl Fn(&K2) -> FactId,
+) -> u64
+where
+    K: Borrow<Q> + Ord,
+    Q: Ord + ?Sized,
+{
+    let Some(entries) = map.get_mut(key) else {
+        return 0;
+    };
+    let before = entries.len();
+    match starts {
+        Some(starts) => entries.retain(|k, _| starts.binary_search(&start_of(k)).is_err()),
+        None => entries.clear(),
+    }
+    let evicted = before - entries.len();
+    if entries.is_empty() {
+        map.remove(key);
+    }
+    evicted as u64
 }
 
 /// Hit/miss/eviction counters of a [`DistCache`] (diagnostics and tests).
@@ -152,7 +205,7 @@ pub struct DistCacheStats {
     pub invalidations: u64,
     /// Journal replays applied (fine-grained catch-ups instead of clears).
     pub replays: u64,
-    /// Fact/value/KD-tier entries evicted by journal replays (full clears
+    /// Fact/value-tier entries evicted by journal replays (full clears
     /// are counted in `invalidations`, not here; prefix-tier evictions in
     /// [`DistCacheStats::prefix_evicted`]).
     pub evicted: u64,
@@ -165,10 +218,12 @@ pub struct DistCacheStats {
     pub prefix_misses: u64,
     /// Prefix-tier entries evicted by journal replays.
     pub prefix_evicted: u64,
-    /// Exact KD values served from the KD tier.
+    /// Always 0. It counted hits of the exact-KD value tier, which never
+    /// hit on a tracked workload and was removed; the field stays until
+    /// the benchmark's counter set retires it.
     pub kd_hits: u64,
-    /// Exact KD evaluations that had to compute (and then stored) their
-    /// value.
+    /// Exact KD evaluations ([`crate::kd::kd_exact`] calls made by
+    /// [`crate::kd::kd_cached`]).
     pub kd_misses: u64,
 }
 
@@ -176,8 +231,7 @@ impl DistCacheStats {
     /// Fraction of lookups served from the cache (0 when none happened).
     ///
     /// Covers the **fact and value tiers only** — prefix-frontier reuse is
-    /// [`DistCacheStats::prefix_hit_rate`], KD-value reuse is
-    /// `kd_hits / (kd_hits + kd_misses)`.
+    /// [`DistCacheStats::prefix_hit_rate`].
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -201,9 +255,6 @@ impl DistCacheStats {
     }
 }
 
-/// Former name of [`DistCacheStats`].
-pub type CacheStats = DistCacheStats;
-
 /// Memo table for exact walk distributions, bound to one
 /// `(db_id, epoch, support_limit)` snapshot at a time.
 ///
@@ -212,7 +263,7 @@ pub type CacheStats = DistCacheStats;
 /// entirely (the value is exactly `None`), while [`DistStatus::TooLarge`]
 /// routes to the sampling fallback. Both are as expensive to rediscover as
 /// a real distribution.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DistCache {
     /// Lineage of the database the entries were computed against
     /// (`0` = not yet bound).
@@ -222,47 +273,47 @@ pub struct DistCache {
     facts: FactMap,
     values: ValueMap,
     prefixes: PrefixMap,
-    kd_values: KdMap,
     /// Per-scheme FK-reachability, computed once per scheme (the schema is
     /// immutable within a lineage) and consulted by every journal replay.
     scopes: BTreeMap<WalkScheme, SchemeReach>,
-    /// When set, the prefix tier only **stores** frontiers at these
-    /// prefixes (probing is unrestricted). `None` stores everything.
-    persist: Option<Arc<BTreeSet<Vec<Step>>>>,
+    /// The prefix tier only **stores** frontiers at these prefixes
+    /// (probing is unrestricted).
+    persist: Arc<BTreeSet<Vec<Step>>>,
     stats: DistCacheStats,
 }
 
 impl DistCache {
-    /// Empty, unbound cache. The first [`DistCache::ensure_bound`] binds
-    /// it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Restrict the prefix tier to **storing** frontiers only at
-    /// `prefixes` — typically [`crate::plan::SchemePlan::persist_prefixes`],
+    /// Empty, unbound cache whose prefix tier **stores** frontiers only
+    /// at `persist` — typically [`crate::plan::SchemePlan::persist_prefixes`],
     /// the prefixes some other scheme's evaluation will actually resume.
-    /// Lookups still probe every length, and values are unaffected either
-    /// way (a frontier is a pure function of its key); this only trims
+    /// Lookups still probe every length, and values are unaffected by the
+    /// choice (a frontier is a pure function of its key); it only trims
     /// the insert-per-step bookkeeping that plain-BFS evaluation never
     /// pays, which otherwise makes low-sharing plans *slower* through the
-    /// cache than without it. Survives rebinds and replays.
-    pub fn set_persist_prefixes(&mut self, prefixes: Arc<BTreeSet<Vec<Step>>>) {
-        self.persist = Some(prefixes);
-    }
-
-    /// `true` when a frontier at `prefix` should be stored (see
-    /// [`DistCache::set_persist_prefixes`]).
-    fn should_store(&self, prefix: &[Step]) -> bool {
-        match &self.persist {
-            None => true,
-            Some(set) => set.contains(prefix),
+    /// cache than without it. The first [`DistCache::ensure_bound`] binds
+    /// the cache.
+    pub fn new(persist: Arc<BTreeSet<Vec<Step>>>) -> Self {
+        DistCache {
+            db_id: 0,
+            epoch: 0,
+            support_limit: 0,
+            facts: FactMap::new(),
+            values: ValueMap::new(),
+            prefixes: PrefixMap::new(),
+            scopes: BTreeMap::new(),
+            persist,
+            stats: DistCacheStats::default(),
         }
     }
 
-    /// `true` when the cache is bound to `db`'s current state and `limit`.
-    fn current_for(&self, db: &Database, limit: usize) -> bool {
-        self.db_id == db.db_id() && self.epoch == db.epoch() && self.support_limit == limit
+    /// Empty, unbound cache with this cache's persist set.
+    pub fn empty_like(&self) -> Self {
+        DistCache::new(Arc::clone(&self.persist))
+    }
+
+    /// `true` when the cache is bound to `db`'s current state.
+    fn current_for(&self, db: &Database) -> bool {
+        self.db_id == db.db_id() && self.epoch == db.epoch()
     }
 
     /// Bind the cache to `db`'s current `(db_id, epoch)` under the exact
@@ -295,7 +346,6 @@ impl DistCache {
             self.facts.clear();
             self.values.clear();
             self.prefixes.clear();
-            self.kd_values.clear();
         }
         // Scopes are schema-derived; a different lineage may carry a
         // different schema, so they go too (cheap to recompute).
@@ -340,24 +390,19 @@ impl DistCache {
     /// prefix is a walk scheme in its own right (its BFS reads exactly
     /// the facts along its own relation sequence), so [`SchemeReach`] of
     /// the prefix-as-scheme scopes its evictions with no generalisation
-    /// needed. The **KD tier** is a pure function of the two value
-    /// distributions under its scheme, so an entry goes exactly when
-    /// `f1` or `f2` lands in the scheme's affected-start set.
+    /// needed.
     fn replay(&mut self, db: &Database, records: &[MutationRecord]) {
         self.stats.replays += 1;
         if records.is_empty() || self.is_empty() {
             return;
         }
         let schema = db.schema();
-        let schemes: Vec<WalkScheme> = {
-            let mut seen: Vec<&WalkScheme> = self.facts.keys().collect();
-            for s in self.values.keys().chain(self.kd_values.keys()) {
-                if !seen.contains(&s) {
-                    seen.push(s);
-                }
-            }
-            seen.into_iter().cloned().collect()
-        };
+        let schemes: BTreeSet<WalkScheme> = self
+            .facts
+            .keys()
+            .chain(self.values.keys())
+            .cloned()
+            .collect();
         // Reverse frontiers larger than this fall back to wholesale
         // eviction (a hub fact touches "everything" anyway). The forward
         // support cap is the natural yardstick.
@@ -367,50 +412,12 @@ impl DistCache {
                 .scopes
                 .entry(scheme.clone())
                 .or_insert_with(|| SchemeReach::of(schema, &scheme));
-            match affected_starts(db, &scheme, reach, records, reverse_cap) {
-                None => {
-                    if let Some(inner) = self.facts.remove(&scheme) {
-                        self.stats.evicted += inner.len() as u64;
-                    }
-                    if let Some(inner) = self.values.remove(&scheme) {
-                        self.stats.evicted += inner.len() as u64;
-                    }
-                    if let Some(inner) = self.kd_values.remove(&scheme) {
-                        self.stats.evicted += inner.len() as u64;
-                    }
-                }
-                Some(starts) if !starts.is_empty() => {
-                    if let Some(inner) = self.facts.get_mut(&scheme) {
-                        for f in &starts {
-                            if inner.remove(f).is_some() {
-                                self.stats.evicted += 1;
-                            }
-                        }
-                        if inner.is_empty() {
-                            self.facts.remove(&scheme);
-                        }
-                    }
-                    if let Some(inner) = self.values.get_mut(&scheme) {
-                        let before = inner.len();
-                        inner.retain(|(_, start), _| starts.binary_search(start).is_err());
-                        self.stats.evicted += (before - inner.len()) as u64;
-                        if inner.is_empty() {
-                            self.values.remove(&scheme);
-                        }
-                    }
-                    if let Some(inner) = self.kd_values.get_mut(&scheme) {
-                        let before = inner.len();
-                        inner.retain(|(_, f1, f2), _| {
-                            starts.binary_search(f1).is_err() && starts.binary_search(f2).is_err()
-                        });
-                        self.stats.evicted += (before - inner.len()) as u64;
-                        if inner.is_empty() {
-                            self.kd_values.remove(&scheme);
-                        }
-                    }
-                }
-                Some(_) => {}
+            let starts = affected_starts(db, &scheme, reach, records, reverse_cap);
+            if starts.as_ref().is_some_and(Vec::is_empty) {
+                continue;
             }
+            self.stats.evicted += evict(&mut self.facts, &scheme, starts.as_deref(), |&f| f)
+                + evict(&mut self.values, &scheme, starts.as_deref(), |&(_, f)| f);
         }
         // Prefix tier: each cached prefix scopes independently as a scheme
         // of its own (`steps[0]` pins the start relation).
@@ -425,155 +432,18 @@ impl DistCache {
                 .scopes
                 .entry(scheme.clone())
                 .or_insert_with(|| SchemeReach::of(schema, &scheme));
-            match affected_starts(db, &scheme, reach, records, reverse_cap) {
-                None => {
-                    if let Some(inner) = self.prefixes.remove(&key) {
-                        self.stats.prefix_evicted += inner.len() as u64;
-                    }
-                }
-                Some(starts) if !starts.is_empty() => {
-                    if let Some(inner) = self.prefixes.get_mut(&key) {
-                        for f in &starts {
-                            if inner.remove(f).is_some() {
-                                self.stats.prefix_evicted += 1;
-                            }
-                        }
-                        if inner.is_empty() {
-                            self.prefixes.remove(&key);
-                        }
-                    }
-                }
-                Some(_) => {}
+            let starts = affected_starts(db, &scheme, reach, records, reverse_cap);
+            if starts.as_ref().is_some_and(Vec::is_empty) {
+                continue;
             }
+            self.stats.prefix_evicted += evict(&mut self.prefixes, &key, starts.as_deref(), |&f| f);
         }
     }
 
-    /// Memoised [`destination_distribution_status`] of `(scheme, start)`.
-    ///
-    /// The cache must be [bound](DistCache::ensure_bound) against `db`
-    /// first (debug-asserted).
-    pub fn fact_distribution(
-        &mut self,
-        db: &Database,
-        scheme: &WalkScheme,
-        start: FactId,
-    ) -> CachedFactDist {
-        debug_assert!(
-            self.current_for(db, self.support_limit),
-            "DistCache used without ensure_bound()"
-        );
-        if let Some(hit) = self.facts.get(scheme).and_then(|m| m.get(&start)) {
-            self.stats.hits += 1;
-            return hit.clone();
-        }
-        self.stats.misses += 1;
-        let computed = self.assemble_from_prefixes(db, scheme, start).map(Arc::new);
-        put(&mut self.facts, scheme, start, computed.clone());
-        computed
-    }
-
-    /// Compute a fact-level miss by resuming from the **longest cached
-    /// prefix frontier**, extending it one [`frontier_step`] at a time and
-    /// caching the intermediate frontiers another scheme can resume (all
-    /// of them, unless narrowed by
-    /// [`DistCache::set_persist_prefixes`]). Bitwise
-    /// identical to [`destination_distribution_status`]: both run the
-    /// same `frontier_start → frontier_step* → frontier_finish`
-    /// composition, and a cached frontier is a pure function of
-    /// `(db content, prefix, start, limit)`.
-    ///
-    /// A cached *negative* prefix settles the status outright — the
-    /// from-scratch BFS would fail at that exact step with that exact
-    /// status. Schemes diverging before the failing step probe different
-    /// keys and are untouched.
-    fn assemble_from_prefixes(
-        &mut self,
-        db: &Database,
-        scheme: &WalkScheme,
-        start: FactId,
-    ) -> DistStatus<FactDistribution> {
-        if scheme.is_empty() || db.fact(start).is_none() {
-            // Nothing shareable: the empty prefix is one `frontier_start`,
-            // and a dead start fails before any step.
-            return destination_distribution_status(db, scheme, start, self.support_limit);
-        }
-        let mut found: Option<(usize, CachedFrontier)> = None;
-        for k in (1..=scheme.len()).rev() {
-            if let Some(entry) = self
-                .prefixes
-                .get(&scheme.steps[..k])
-                .and_then(|m| m.get(&start))
-            {
-                found = Some((k, entry.clone()));
-                break;
-            }
-        }
-        let (mut depth, mut state) = match found {
-            Some((k, entry)) => {
-                self.stats.prefix_hits += 1;
-                match entry {
-                    DistStatus::Exists(arc) => (k, arc),
-                    DistStatus::TooLarge => return DistStatus::TooLarge,
-                    DistStatus::Nonexistent => return DistStatus::Nonexistent,
-                }
-            }
-            None => {
-                self.stats.prefix_misses += 1;
-                match frontier_start(db, start) {
-                    DistStatus::Exists(s) => (0, Arc::new(s)),
-                    _ => return DistStatus::Nonexistent,
-                }
-            }
-        };
-        while depth < scheme.len() {
-            let stepped =
-                frontier_step(db, &scheme.steps[depth], &state, self.support_limit).map(Arc::new);
-            depth += 1;
-            if self.should_store(&scheme.steps[..depth]) {
-                store_prefix(
-                    &mut self.prefixes,
-                    &scheme.steps[..depth],
-                    start,
-                    stepped.clone(),
-                );
-            }
-            match stepped {
-                DistStatus::Exists(next) => state = next,
-                DistStatus::TooLarge => return DistStatus::TooLarge,
-                DistStatus::Nonexistent => return DistStatus::Nonexistent,
-            }
-        }
-        frontier_finish(&state)
-    }
-
-    /// Memoised `d_{start,scheme}[attr]` (via the fact-level entry, which
-    /// is shared by all attributes of the same scheme).
-    pub fn value_distribution(
-        &mut self,
-        db: &Database,
-        scheme: &WalkScheme,
-        attr: usize,
-        start: FactId,
-    ) -> CachedValueDist {
-        debug_assert!(
-            self.current_for(db, self.support_limit),
-            "DistCache used without ensure_bound()"
-        );
-        if let Some(hit) = self.values.get(scheme).and_then(|m| m.get(&(attr, start))) {
-            self.stats.hits += 1;
-            return hit.clone();
-        }
-        // A value-level miss is its own miss (the marginalisation work),
-        // on top of whatever the fact-level lookup below records.
-        self.stats.misses += 1;
-        let computed = marginalise(db, self.fact_distribution(db, scheme, start), attr);
-        put(&mut self.values, scheme, (attr, start), computed.clone());
-        computed
-    }
-
-    /// Read-only snapshot handle for one work item of a sharded section.
-    /// Requires the cache to be bound against the database the view will
-    /// read (debug-asserted at lookup time).
+    /// Read-only lookup handle: one per work item of a sharded section,
+    /// or one for a whole serial pass. Requires the cache to be bound
+    /// against the database the view will read (debug-asserted at lookup
+    /// time).
     pub fn view(&self) -> DistCacheView<'_> {
         DistCacheView {
             base: self,
@@ -587,35 +457,13 @@ impl DistCache {
     /// values are pure in their key, so collisions carry equal data and
     /// "first item wins" is well defined).
     pub fn absorb(&mut self, delta: DistCacheDelta) {
-        for (scheme, inner) in delta.facts {
-            let target = self.facts.entry(scheme).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
-        for (scheme, inner) in delta.values {
-            let target = self.values.entry(scheme).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
-        for (prefix, inner) in delta.prefixes {
-            let target = self.prefixes.entry(prefix).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
-        for (scheme, inner) in delta.kd {
-            let target = self.kd_values.entry(scheme).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
+        merge(&mut self.facts, delta.facts);
+        merge(&mut self.values, delta.values);
+        merge(&mut self.prefixes, delta.prefixes);
         self.stats.hits += delta.hits;
         self.stats.misses += delta.misses;
         self.stats.prefix_hits += delta.prefix_hits;
         self.stats.prefix_misses += delta.prefix_misses;
-        self.stats.kd_hits += delta.kd_hits;
         self.stats.kd_misses += delta.kd_misses;
     }
 
@@ -624,21 +472,15 @@ impl DistCache {
         self.stats
     }
 
-    /// Number of memoised entries across all four tiers (fact, value,
-    /// prefix-frontier, KD).
+    /// Number of memoised entries across all three tiers (fact, value,
+    /// prefix-frontier).
     pub fn len(&self) -> usize {
-        map_len(&self.facts)
-            + map_len(&self.values)
-            + map_len(&self.prefixes)
-            + map_len(&self.kd_values)
+        map_len(&self.facts) + map_len(&self.values) + map_len(&self.prefixes)
     }
 
     /// `true` when nothing is memoised in any tier.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
-            && self.values.is_empty()
-            && self.prefixes.is_empty()
-            && self.kd_values.is_empty()
+        self.facts.is_empty() && self.values.is_empty() && self.prefixes.is_empty()
     }
 }
 
@@ -647,7 +489,7 @@ impl DistCache {
 /// impossible (payload-less delete, reverse frontier over `reverse_cap`)
 /// and the caller must evict the scheme wholesale. The per-record logic
 /// is documented on [`DistCache::replay`]; this is shared by the
-/// fact/value/KD pass and the prefix pass.
+/// fact/value pass and the prefix pass.
 fn affected_starts(
     db: &Database,
     scheme: &WalkScheme,
@@ -697,19 +539,6 @@ fn affected_starts(
     starts.sort_unstable();
     starts.dedup();
     Some(starts)
-}
-
-/// Insert a prefix-tier entry, cloning the key only for a prefix's first
-/// entry (the `&[Step]` analogue of [`put`]).
-fn store_prefix(map: &mut PrefixMap, prefix: &[Step], start: FactId, entry: CachedFrontier) {
-    match map.get_mut(prefix) {
-        Some(inner) => {
-            inner.insert(start, entry);
-        }
-        None => {
-            map.entry(prefix.to_vec()).or_default().insert(start, entry);
-        }
-    }
 }
 
 /// Collect into `out` every start fact of `scheme` from which a walk can
@@ -781,9 +610,9 @@ fn marginalise(db: &Database, facts: CachedFactDist, attr: usize) -> CachedValue
     }
 }
 
-/// Per-work-item overlay over a shared [`DistCache`] snapshot: reads hit
-/// the base first, misses are computed into a private delta. Safe to use
-/// from any shard because the base is never written.
+/// Overlay over a shared [`DistCache`] snapshot — the cache's only lookup
+/// path: reads hit the base first, misses are computed into a private
+/// delta. Safe to use from any shard because the base is never written.
 pub struct DistCacheView<'a> {
     base: &'a DistCache,
     delta: DistCacheDelta,
@@ -796,17 +625,16 @@ pub struct DistCacheDelta {
     facts: FactMap,
     values: ValueMap,
     prefixes: PrefixMap,
-    kd: KdMap,
     hits: u64,
     misses: u64,
     prefix_hits: u64,
     prefix_misses: u64,
-    kd_hits: u64,
     kd_misses: u64,
 }
 
 impl DistCacheView<'_> {
-    /// [`DistCache::fact_distribution`] against base-then-delta.
+    /// Memoised [`destination_distribution_status`] of `(scheme, start)`,
+    /// probed base-then-delta.
     pub fn fact_distribution(
         &mut self,
         db: &Database,
@@ -814,16 +642,10 @@ impl DistCacheView<'_> {
         start: FactId,
     ) -> CachedFactDist {
         debug_assert!(
-            self.base.current_for(db, self.base.support_limit),
+            self.base.current_for(db),
             "DistCacheView used against a database the base was not bound for"
         );
-        if let Some(hit) = self
-            .base
-            .facts
-            .get(scheme)
-            .and_then(|m| m.get(&start))
-            .or_else(|| self.delta.facts.get(scheme).and_then(|m| m.get(&start)))
-        {
+        if let Some(hit) = probe([&self.base.facts, &self.delta.facts], scheme, &start) {
             self.delta.hits += 1;
             return hit.clone();
         }
@@ -833,9 +655,19 @@ impl DistCacheView<'_> {
         computed
     }
 
-    /// [`DistCache::assemble_from_prefixes`] against base-then-delta:
-    /// prefix probes check the shared base first, then the private delta;
-    /// newly produced frontiers land in the delta.
+    /// Compute a fact-level miss by resuming from the **longest cached
+    /// prefix frontier** (probing the shared base first, then the private
+    /// delta), extending it one [`frontier_step`] at a time and storing
+    /// the intermediate frontiers in the persist set in the delta.
+    /// Bitwise identical to [`destination_distribution_status`]: both run
+    /// the same `frontier_start → frontier_step* → frontier_finish`
+    /// composition, and a cached frontier is a pure function of
+    /// `(db content, prefix, start, limit)`.
+    ///
+    /// A cached *negative* prefix settles the status outright — the
+    /// from-scratch BFS would fail at that exact step with that exact
+    /// status. Schemes diverging before the failing step probe different
+    /// keys and are untouched.
     fn assemble_from_prefixes(
         &mut self,
         db: &Database,
@@ -845,15 +677,10 @@ impl DistCacheView<'_> {
         if scheme.is_empty() || db.fact(start).is_none() {
             return destination_distribution_status(db, scheme, start, self.base.support_limit);
         }
-        let mut found: Option<(usize, CachedFrontier)> = None;
-        'probe: for k in (1..=scheme.len()).rev() {
-            for map in [&self.base.prefixes, &self.delta.prefixes] {
-                if let Some(entry) = map.get(&scheme.steps[..k]).and_then(|m| m.get(&start)) {
-                    found = Some((k, entry.clone()));
-                    break 'probe;
-                }
-            }
-        }
+        let prefixes = [&self.base.prefixes, &self.delta.prefixes];
+        let found = (1..=scheme.len())
+            .rev()
+            .find_map(|k| Some((k, probe(prefixes, &scheme.steps[..k], &start)?.clone())));
         let (mut depth, mut state) = match found {
             Some((k, entry)) => {
                 self.delta.prefix_hits += 1;
@@ -875,8 +702,8 @@ impl DistCacheView<'_> {
             let stepped = frontier_step(db, &scheme.steps[depth], &state, self.base.support_limit)
                 .map(Arc::new);
             depth += 1;
-            if self.base.should_store(&scheme.steps[..depth]) {
-                store_prefix(
+            if self.base.persist.contains(&scheme.steps[..depth]) {
+                put(
                     &mut self.delta.prefixes,
                     &scheme.steps[..depth],
                     start,
@@ -892,47 +719,14 @@ impl DistCacheView<'_> {
         frontier_finish(&state)
     }
 
-    /// Look up an exact KD value under its directional
-    /// `(scheme, attr, f1, f2)` key, base-then-delta. The order of `f1`
-    /// and `f2` matters: `kd_exact` iterates `p` then `q` and float
-    /// addition does not reassociate.
-    pub fn kd_value(
-        &mut self,
-        scheme: &WalkScheme,
-        attr: usize,
-        f1: FactId,
-        f2: FactId,
-    ) -> Option<f64> {
-        let key = (attr, f1, f2);
-        let hit = self
-            .base
-            .kd_values
-            .get(scheme)
-            .and_then(|m| m.get(&key))
-            .or_else(|| self.delta.kd.get(scheme).and_then(|m| m.get(&key)))
-            .copied();
-        if hit.is_some() {
-            self.delta.kd_hits += 1;
-        } else {
-            self.delta.kd_misses += 1;
-        }
-        hit
+    /// Count one exact KD evaluation (see [`DistCacheStats::kd_misses`]).
+    pub(crate) fn count_exact_kd(&mut self) {
+        self.delta.kd_misses += 1;
     }
 
-    /// Record a freshly computed exact KD value in the private delta
-    /// (see [`DistCacheView::kd_value`] for the key discipline).
-    pub fn store_kd_value(
-        &mut self,
-        scheme: &WalkScheme,
-        attr: usize,
-        f1: FactId,
-        f2: FactId,
-        y: f64,
-    ) {
-        put(&mut self.delta.kd, scheme, (attr, f1, f2), y);
-    }
-
-    /// [`DistCache::value_distribution`] against base-then-delta.
+    /// Memoised `d_{start,scheme}[attr]` (via the fact-level entry, which
+    /// is shared by all attributes of the same scheme), probed
+    /// base-then-delta.
     pub fn value_distribution(
         &mut self,
         db: &Database,
@@ -941,25 +735,19 @@ impl DistCacheView<'_> {
         start: FactId,
     ) -> CachedValueDist {
         debug_assert!(
-            self.base.current_for(db, self.base.support_limit),
+            self.base.current_for(db),
             "DistCacheView used against a database the base was not bound for"
         );
-        if let Some(hit) = self
-            .base
-            .values
-            .get(scheme)
-            .and_then(|m| m.get(&(attr, start)))
-            .or_else(|| {
-                self.delta
-                    .values
-                    .get(scheme)
-                    .and_then(|m| m.get(&(attr, start)))
-            })
-        {
+        if let Some(hit) = probe(
+            [&self.base.values, &self.delta.values],
+            scheme,
+            &(attr, start),
+        ) {
             self.delta.hits += 1;
             return hit.clone();
         }
-        // Own value-level miss, on top of the fact-level lookup's count.
+        // A value-level miss is its own miss (the marginalisation work),
+        // on top of whatever the fact-level lookup below records.
         self.delta.misses += 1;
         let computed = marginalise(db, self.fact_distribution(db, scheme, start), attr);
         put(
@@ -985,6 +773,39 @@ mod tests {
     use reldb::movies::movies_database_labeled;
     use reldb::{cascade_delete, restore_journal, Value};
 
+    /// A cache storing no prefix frontiers: the fact and value tiers
+    /// these tests exercise do not depend on the persist set.
+    fn cache() -> DistCache {
+        DistCache::new(Arc::default())
+    }
+
+    /// One lookup through a view, absorbed straight back.
+    fn fact(
+        cache: &mut DistCache,
+        db: &Database,
+        scheme: &WalkScheme,
+        start: FactId,
+    ) -> CachedFactDist {
+        let mut view = cache.view();
+        let got = view.fact_distribution(db, scheme, start);
+        cache.absorb(view.into_delta());
+        got
+    }
+
+    /// [`fact`] for the value tier.
+    fn value(
+        cache: &mut DistCache,
+        db: &Database,
+        scheme: &WalkScheme,
+        attr: usize,
+        start: FactId,
+    ) -> CachedValueDist {
+        let mut view = cache.view();
+        let got = view.value_distribution(db, scheme, attr, start);
+        cache.absorb(view.into_delta());
+        got
+    }
+
     fn s5(db: &Database) -> WalkScheme {
         let schema = db.schema();
         let actors = schema.relation_id("ACTORS").unwrap();
@@ -1001,18 +822,18 @@ mod tests {
     fn caches_and_counts_hits() {
         let (db, ids) = movies_database_labeled();
         let scheme = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        let a = cache.value_distribution(&db, &scheme, 4, ids["a1"]);
+        let a = value(&mut cache, &db, &scheme, 4, ids["a1"]);
         let misses = cache.stats().misses;
-        let b = cache.value_distribution(&db, &scheme, 4, ids["a1"]);
+        let b = value(&mut cache, &db, &scheme, 4, ids["a1"]);
         let (a, b) = (a.exists().unwrap(), b.exists().unwrap());
         assert!(Arc::ptr_eq(a, b), "second lookup must be the same Arc");
         assert_eq!(cache.stats().misses, misses, "no new miss on a hit");
         assert!(cache.stats().hits >= 1);
         // A second attribute of the same scheme reuses the fact-level BFS.
         let fact_entries = map_len(&cache.facts);
-        cache.value_distribution(&db, &scheme, 3, ids["a1"]);
+        value(&mut cache, &db, &scheme, 3, ids["a1"]);
         assert_eq!(
             map_len(&cache.facts),
             fact_entries,
@@ -1029,16 +850,12 @@ mod tests {
             .into_iter()
             .find(|s| s.display(schema).to_string() == "ACTORS[aid]—COLLABORATIONS[actor1]")
             .unwrap();
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
         // a3 has no actor1 walks: a (cached) exact negative entry.
-        assert!(cache
-            .fact_distribution(&db, &s1, ids["a3"])
-            .is_nonexistent());
+        assert!(fact(&mut cache, &db, &s1, ids["a3"]).is_nonexistent());
         let misses = cache.stats().misses;
-        assert!(cache
-            .fact_distribution(&db, &s1, ids["a3"])
-            .is_nonexistent());
+        assert!(fact(&mut cache, &db, &s1, ids["a3"]).is_nonexistent());
         assert_eq!(cache.stats().misses, misses);
     }
 
@@ -1046,9 +863,9 @@ mod tests {
     fn mutation_epoch_invalidates() {
         let (mut db, ids) = movies_database_labeled();
         let scheme = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        let before = cache.value_distribution(&db, &scheme, 4, ids["a1"]);
+        let before = value(&mut cache, &db, &scheme, 4, ids["a1"]);
         let before = before.exists().unwrap().clone();
         assert_eq!(before.support.len(), 2);
 
@@ -1065,13 +882,13 @@ mod tests {
         assert_eq!(cache.stats().replays, 1, "fine-grained path, not a clear");
         assert_eq!(cache.stats().invalidations, 0);
         assert!(cache.stats().evicted >= 2, "fact + value entries evicted");
-        let during = cache.value_distribution(&db, &scheme, 4, ids["a1"]);
+        let during = value(&mut cache, &db, &scheme, 4, ids["a1"]);
         assert_eq!(during.exists().unwrap().support.len(), 1);
 
         // Restore: a new epoch again; the original distribution comes back.
         restore_journal(&mut db, &journal).unwrap();
         cache.ensure_bound(&db, 256);
-        let after = cache.value_distribution(&db, &scheme, 4, ids["a1"]);
+        let after = value(&mut cache, &db, &scheme, 4, ids["a1"]);
         assert_eq!(after.exists().unwrap().support, before.support);
     }
 
@@ -1087,10 +904,10 @@ mod tests {
             .into_iter()
             .find(|s| s.len() == 3 && s.end(schema) == studios)
             .unwrap();
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        let s5_arc = cache.value_distribution(&db, &s5, 4, ids["a1"]);
-        cache.fact_distribution(&db, &to_studios, ids["a1"]);
+        let s5_arc = value(&mut cache, &db, &s5, 4, ids["a1"]);
+        fact(&mut cache, &db, &to_studios, ids["a1"]);
         let len_before = cache.len();
 
         // Insert a brand-new studio. STUDIOS is interior to the studio
@@ -1106,7 +923,7 @@ mod tests {
         assert_eq!(cache.len(), len_before);
         // The s5 entry survived — same Arc, no recompute.
         let misses = cache.stats().misses;
-        let again = cache.value_distribution(&db, &s5, 4, ids["a1"]);
+        let again = value(&mut cache, &db, &s5, 4, ids["a1"]);
         assert_eq!(cache.stats().misses, misses, "must be a warm hit");
         assert!(Arc::ptr_eq(
             s5_arc.exists().unwrap(),
@@ -1123,8 +940,8 @@ mod tests {
         assert_eq!(cache.stats().invalidations, 0);
         assert_eq!(cache.stats().evicted, 0, "nobody reached the studio");
         let misses = cache.stats().misses;
-        cache.value_distribution(&db, &s5, 4, ids["a1"]);
-        cache.fact_distribution(&db, &to_studios, ids["a1"]);
+        value(&mut cache, &db, &s5, 4, ids["a1"]);
+        fact(&mut cache, &db, &to_studios, ids["a1"]);
         assert_eq!(cache.stats().misses, misses, "both schemes still warm");
     }
 
@@ -1136,10 +953,10 @@ mod tests {
         // tombstone by replay time. a4's entry goes, a1's stays warm.
         let (mut db, ids) = movies_database_labeled();
         let s5 = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        let a1_before = cache.fact_distribution(&db, &s5, ids["a1"]);
-        let a4_before = cache.fact_distribution(&db, &s5, ids["a4"]);
+        let a1_before = fact(&mut cache, &db, &s5, ids["a1"]);
+        let a4_before = fact(&mut cache, &db, &s5, ids["a4"]);
         assert_eq!(a4_before.exists().unwrap().support.len(), 2, "m4 and m5");
 
         db.delete(ids["c3"]).unwrap();
@@ -1148,14 +965,14 @@ mod tests {
         assert_eq!(cache.stats().replays, 1);
         assert_eq!(cache.stats().evicted, 1, "exactly a4's fact entry");
         let misses = cache.stats().misses;
-        let a1_after = cache.fact_distribution(&db, &s5, ids["a1"]);
+        let a1_after = fact(&mut cache, &db, &s5, ids["a1"]);
         assert_eq!(cache.stats().misses, misses, "a1 must stay warm");
         assert!(Arc::ptr_eq(
             a1_before.exists().unwrap(),
             a1_after.exists().unwrap()
         ));
         // a4 recomputes — m5 is gone from its support.
-        let a4 = cache.fact_distribution(&db, &s5, ids["a4"]);
+        let a4 = fact(&mut cache, &db, &s5, ids["a4"]);
         assert_eq!(cache.stats().misses, misses + 1);
         let support = &a4.exists().unwrap().support;
         assert_eq!(support.len(), 1);
@@ -1170,12 +987,11 @@ mod tests {
         // the database's final state.
         let (mut db, ids) = movies_database_labeled();
         let s5 = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        let a1_arc = cache.fact_distribution(&db, &s5, ids["a1"]);
-        cache.fact_distribution(&db, &s5, ids["a4"]);
-        let a4_supp_before = cache
-            .fact_distribution(&db, &s5, ids["a4"])
+        let a1_arc = fact(&mut cache, &db, &s5, ids["a1"]);
+        fact(&mut cache, &db, &s5, ids["a4"]);
+        let a4_supp_before = fact(&mut cache, &db, &s5, ids["a4"])
             .exists()
             .unwrap()
             .support
@@ -1201,11 +1017,11 @@ mod tests {
         assert!(cache.stats().evicted >= 2, "a1 and a4 entries evicted");
         // Both recompute against the final state: a4 gained m1, a1 is
         // back to its original distribution (delete+restore cancelled).
-        let a4 = cache.fact_distribution(&db, &s5, ids["a4"]);
+        let a4 = fact(&mut cache, &db, &s5, ids["a4"]);
         let a4_supp = &a4.exists().unwrap().support;
         assert_eq!(a4_supp.len(), a4_supp_before.len() + 1);
         assert!(a4_supp.iter().any(|(f, _)| *f == ids["m1"]));
-        let a1 = cache.fact_distribution(&db, &s5, ids["a1"]);
+        let a1 = fact(&mut cache, &db, &s5, ids["a1"]);
         assert_eq!(
             a1.exists().unwrap().support,
             a1_arc.exists().unwrap().support,
@@ -1217,10 +1033,10 @@ mod tests {
     fn replay_scopes_interior_inserts_by_reverse_reachability() {
         let (mut db, ids) = movies_database_labeled();
         let s5 = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        let a1_before = cache.fact_distribution(&db, &s5, ids["a1"]);
-        cache.fact_distribution(&db, &s5, ids["a4"]);
+        let a1_before = fact(&mut cache, &db, &s5, ids["a1"]);
+        fact(&mut cache, &db, &s5, ids["a4"]);
 
         // A new collaboration with actor1 = a4: walking s5 backwards from
         // it reaches exactly a4 — a4's entry goes, a1's survives (its
@@ -1234,14 +1050,14 @@ mod tests {
         assert_eq!(cache.stats().invalidations, 0);
         assert!(cache.stats().evicted >= 1, "a4's entry must be evicted");
         let misses = cache.stats().misses;
-        let a1_after = cache.fact_distribution(&db, &s5, ids["a1"]);
+        let a1_after = fact(&mut cache, &db, &s5, ids["a1"]);
         assert_eq!(cache.stats().misses, misses, "a1 must stay warm");
         assert!(Arc::ptr_eq(
             a1_before.exists().unwrap(),
             a1_after.exists().unwrap()
         ));
         // a4 recomputes — and now includes m1 as a destination.
-        let a4 = cache.fact_distribution(&db, &s5, ids["a4"]);
+        let a4 = fact(&mut cache, &db, &s5, ids["a4"]);
         assert_eq!(cache.stats().misses, misses + 1);
         assert!(a4
             .exists()
@@ -1255,9 +1071,9 @@ mod tests {
     fn replay_scopes_start_relation_mutations_to_the_mutated_fact() {
         let (mut db, ids) = movies_database_labeled();
         let s5 = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        cache.value_distribution(&db, &s5, 4, ids["a1"]);
+        value(&mut cache, &db, &s5, 4, ids["a1"]);
 
         // A new actor with no collaborations: ACTORS is s5's start relation
         // and never re-entered, so only the new fact's (nonexistent) entry
@@ -1268,19 +1084,19 @@ mod tests {
         cache.ensure_bound(&db, 256);
         assert_eq!(cache.stats().invalidations, 0);
         let misses = cache.stats().misses;
-        cache.value_distribution(&db, &s5, 4, ids["a1"]);
+        value(&mut cache, &db, &s5, 4, ids["a1"]);
         assert_eq!(cache.stats().misses, misses, "a1 must stay warm");
 
         // Cache the loner's entry (exactly Nonexistent: no walks), then
         // delete the loner: replay must evict precisely that entry …
-        assert!(cache.fact_distribution(&db, &s5, loner).is_nonexistent());
+        assert!(fact(&mut cache, &db, &s5, loner).is_nonexistent());
         let evicted_before = cache.stats().evicted;
         db.delete(loner).unwrap();
         cache.ensure_bound(&db, 256);
         assert_eq!(cache.stats().evicted, evicted_before + 1);
         // … while a1 is still served from the cache.
         let misses = cache.stats().misses;
-        cache.value_distribution(&db, &s5, 4, ids["a1"]);
+        value(&mut cache, &db, &s5, 4, ids["a1"]);
         assert_eq!(cache.stats().misses, misses);
     }
 
@@ -1288,9 +1104,9 @@ mod tests {
     fn wrapped_journal_falls_back_to_a_full_clear() {
         let (mut db, ids) = movies_database_labeled();
         let s5 = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        cache.value_distribution(&db, &s5, 4, ids["a1"]);
+        value(&mut cache, &db, &s5, 4, ids["a1"]);
         assert!(!cache.is_empty());
 
         // More mutations than the ring holds: the records the cache missed
@@ -1313,20 +1129,20 @@ mod tests {
     fn clone_lineage_and_limit_changes_invalidate() {
         let (db, ids) = movies_database_labeled();
         let scheme = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        cache.value_distribution(&db, &scheme, 4, ids["a1"]);
+        value(&mut cache, &db, &scheme, 4, ids["a1"]);
         assert!(!cache.is_empty());
         // Same content, but a clone is a different lineage.
         let clone = db.clone();
         cache.ensure_bound(&clone, 256);
         assert!(cache.is_empty());
-        cache.value_distribution(&clone, &scheme, 4, ids["a1"]);
+        value(&mut cache, &clone, &scheme, 4, ids["a1"]);
         // A different support limit changes what "over the cap" means.
         cache.ensure_bound(&clone, 1);
         assert!(cache.is_empty());
         assert_eq!(
-            cache.fact_distribution(&clone, &scheme, ids["a1"]),
+            fact(&mut cache, &clone, &scheme, ids["a1"]),
             DistStatus::TooLarge
         );
     }
@@ -1341,12 +1157,12 @@ mod tests {
         let actors = schema.relation_id("ACTORS").unwrap();
         let schemes = enumerate_schemes(schema, actors, 3, false);
         let plan = crate::plan::SchemePlan::build(actors, &schemes);
-        let mut cache = DistCache::new();
+        let mut cache = DistCache::new(Arc::new(plan.persist_prefixes()));
         cache.ensure_bound(&db, 256);
         for &start in &db.fact_ids(actors) {
             for idx in plan.dfs() {
                 let scheme = plan.node(idx).prefix();
-                let cached = cache.fact_distribution(&db, scheme, start);
+                let cached = fact(&mut cache, &db, scheme, start);
                 let direct = destination_distribution_status(&db, scheme, start, 256);
                 match (cached, direct) {
                     (DistStatus::Exists(c), DistStatus::Exists(d)) => {
@@ -1468,102 +1284,39 @@ mod tests {
             steps: vec![back(rel_j2), to_m(rel_j2)],
         };
 
-        let mut cache = DistCache::new();
+        // Persist the shared J1 prefix, where the negative entry lands.
+        let mut cache = DistCache::new(Arc::new(BTreeSet::from([via_j1_short.steps.clone()])));
         cache.ensure_bound(&db, 3);
         // The short scheme fails TooLarge and plants a negative prefix.
-        assert!(cache
-            .fact_distribution(&db, &via_j1_short, a1)
-            .is_too_large());
+        assert!(fact(&mut cache, &db, &via_j1_short, a1).is_too_large());
         // The longer scheme through the same prefix reuses the negative
         // entry (a prefix hit, no fresh BFS) and fails the same way —
         // TooLarge, routing to sampling, not Nonexistent.
         let hits = cache.stats().prefix_hits;
-        let status = cache.fact_distribution(&db, &via_j1, a1);
+        let status = fact(&mut cache, &db, &via_j1, a1);
         assert!(status.is_too_large(), "must stay tri-state: {status:?}");
         assert!(!status.is_nonexistent());
         assert_eq!(cache.stats().prefix_hits, hits + 1, "negative entry reused");
         // The sibling diverging at step 1 probes a different prefix key:
         // fully usable, with a 2-fact support.
-        let sibling = cache.fact_distribution(&db, &via_j2, a1);
+        let sibling = fact(&mut cache, &db, &via_j2, a1);
         assert_eq!(sibling.exists().unwrap().support.len(), 2);
         // Every status equals the direct BFS's.
         for scheme in [&via_j1_short, &via_j1, &via_j2] {
             let direct = destination_distribution_status(&db, scheme, a1, 3);
-            let cached = cache.fact_distribution(&db, scheme, a1);
+            let cached = fact(&mut cache, &db, scheme, a1);
             assert_eq!(cached.is_too_large(), direct.is_too_large());
             assert_eq!(cached.is_nonexistent(), direct.is_nonexistent());
         }
     }
 
     #[test]
-    fn kd_tier_serves_and_evicts_directionally() {
-        use crate::kd::{kd, kd_cached, KdOptions};
-        use crate::kernel::KernelAssignment;
-        use stembed_runtime::rng::DetRng;
-        let (mut db, ids) = movies_database_labeled();
-        let scheme = s5(&db);
-        let kernels = KernelAssignment::defaults(&db);
-        let opts = KdOptions::default();
-        let mut cache = DistCache::new();
-        cache.ensure_bound(&db, opts.exact_limit);
-
-        let solve = |cache: &mut DistCache, db: &Database, f1: FactId, f2: FactId| {
-            let mut view = cache.view();
-            let mut rng = DetRng::seed_from_u64(99);
-            let q2 = view.value_distribution(db, &scheme, 4, f2);
-            let y = kd_cached(
-                db, &kernels, &scheme, 4, f1, f2, &q2, &opts, &mut rng, &mut view,
-            );
-            cache.absorb(view.into_delta());
-            y.unwrap()
-        };
-        let first = solve(&mut cache, &db, ids["a1"], ids["a4"]);
-        assert_eq!(cache.stats().kd_misses, 1);
-        assert_eq!(cache.stats().kd_hits, 0);
-        // Second identical query: served from the KD tier, same bits, and
-        // equal to the uncached reference.
-        let second = solve(&mut cache, &db, ids["a1"], ids["a4"]);
-        assert_eq!(cache.stats().kd_hits, 1);
-        assert_eq!(first.to_bits(), second.to_bits());
-        let mut rng = DetRng::seed_from_u64(1);
-        let reference = kd(
-            &db, &kernels, &scheme, 4, ids["a1"], ids["a4"], &opts, &mut rng,
-        )
-        .unwrap();
-        assert_eq!(first.to_bits(), reference.to_bits());
-        // The key is directional: the swapped pair is its own entry (a
-        // miss), even though exact KD is symmetric in value.
-        solve(&mut cache, &db, ids["a4"], ids["a1"]);
-        assert_eq!(cache.stats().kd_misses, 2);
-
-        // Replay eviction: a mutation reaching a4 must drop every KD entry
-        // with a4 on either side, while recomputation agrees with the new
-        // database state.
-        db.insert_into(
-            "COLLABORATIONS",
-            vec!["a04".into(), "a03".into(), "m01".into()],
-        )
-        .unwrap();
-        cache.ensure_bound(&db, opts.exact_limit);
-        let kd_misses = cache.stats().kd_misses;
-        let after = solve(&mut cache, &db, ids["a1"], ids["a4"]);
-        assert_eq!(cache.stats().kd_misses, kd_misses + 1, "entry must be gone");
-        let mut rng = DetRng::seed_from_u64(1);
-        let reference = kd(
-            &db, &kernels, &scheme, 4, ids["a1"], ids["a4"], &opts, &mut rng,
-        )
-        .unwrap();
-        assert_eq!(after.to_bits(), reference.to_bits());
-        assert_ne!(after.to_bits(), first.to_bits(), "a4 gained a destination");
-    }
-
-    #[test]
     fn views_overlay_and_absorb_in_order() {
         let (db, ids) = movies_database_labeled();
         let scheme = s5(&db);
-        let mut cache = DistCache::new();
+        let mut cache = cache();
         cache.ensure_bound(&db, 256);
-        cache.value_distribution(&db, &scheme, 4, ids["a1"]);
+        value(&mut cache, &db, &scheme, 4, ids["a1"]);
 
         let deltas: Vec<DistCacheDelta> = (0..2)
             .map(|i| {
@@ -1584,7 +1337,7 @@ mod tests {
         assert!(cache.len() > before);
         // The absorbed entries now serve as base hits.
         let misses = cache.stats().misses;
-        cache.value_distribution(&db, &scheme, 4, ids["a4"]);
+        value(&mut cache, &db, &scheme, 4, ids["a4"]);
         assert_eq!(cache.stats().misses, misses);
     }
 }

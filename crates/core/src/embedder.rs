@@ -107,8 +107,9 @@ impl ForwardEmbedder {
 
     /// Hit/miss/invalidation counters of the persistent walk-distribution
     /// cache driving `extend` (diagnostics) — including the prefix-frontier
-    /// and KD tiers (`prefix_hits`/`prefix_misses`, `kd_hits`/`kd_misses`).
-    pub fn dist_cache_stats(&self) -> crate::distcache::CacheStats {
+    /// tier (`prefix_hits`/`prefix_misses`) and the count of exact KD
+    /// evaluations (`kd_misses`; `kd_hits` is always 0).
+    pub fn dist_cache_stats(&self) -> crate::distcache::DistCacheStats {
         self.inner.dist_cache().stats()
     }
 
@@ -397,11 +398,18 @@ mod tests {
     #[test]
     fn extend_is_idempotent_for_known_facts() {
         let (db, ids) = movies_database_labeled();
+        let actors = db.schema().relation_id("ACTORS").unwrap();
+        let mut fwd = ForwardEmbedder::train(&db, actors, &fwd_cfg(), 2).unwrap();
         let mut n2v = Node2VecEmbedder::train(&db, &Node2VecConfig::small(), 2);
-        let before = n2v.embedding(ids["a1"]).unwrap();
+        let fwd_before = fwd.embedding(ids["a1"]).unwrap();
+        let n2v_before = n2v.embedding(ids["a1"]).unwrap();
+        let stats_before = fwd.dist_cache_stats();
         // Extending with an already-embedded fact is a no-op.
+        fwd.extend(&db, &[ids["a1"]], 9).unwrap();
         n2v.extend(&db, &[ids["a1"]], 9).unwrap();
-        assert_eq!(n2v.embedding(ids["a1"]).unwrap(), before.as_slice());
+        assert_eq!(fwd.embedding(ids["a1"]).unwrap(), fwd_before.as_slice());
+        assert_eq!(n2v.embedding(ids["a1"]).unwrap(), n2v_before.as_slice());
+        assert_eq!(fwd.dist_cache_stats(), stats_before, "cache touched");
     }
 
     #[test]

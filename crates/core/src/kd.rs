@@ -135,14 +135,9 @@ pub fn kd(
 /// recomputed ones (canonical support order), the `Nonexistent` short
 /// circuit fires under exactly the same conditions, and the Monte-Carlo
 /// fallback consumes the RNG exactly as the uncached path does; no RNG is
-/// touched outside of it.
-///
-/// Exact values are additionally memoised in the view's KD tier under the
-/// directional `(scheme, attr, f1, f2)` key (paper's all-at-once path,
-/// ROADMAP item 5's value cache): a repeated equation serves `y` without
-/// re-running the double loop. The Monte-Carlo fallback is **never**
-/// cached — it consumes RNG, and serving a stale estimate would shift
-/// every later stream.
+/// touched outside of it. The KD value itself is computed by
+/// [`kd_exact`] on every call; the view only counts the evaluation
+/// ([`crate::distcache::DistCacheStats::kd_misses`]).
 #[allow(clippy::too_many_arguments)]
 pub fn kd_cached(
     db: &Database,
@@ -162,12 +157,8 @@ pub fn kd_cached(
     let p1 = view.value_distribution(db, scheme, attr, f1);
     match (p1, q2) {
         (DistStatus::Exists(p), DistStatus::Exists(q)) => {
-            if let Some(y) = view.kd_value(scheme, attr, f1, f2) {
-                return Some(y);
-            }
-            let y = kd_exact(kernels, scheme.end(db.schema()), attr, &p, q);
-            view.store_kd_value(scheme, attr, f1, f2, y);
-            Some(y)
+            view.count_exact_kd();
+            Some(kd_exact(kernels, scheme.end(db.schema()), attr, &p, q))
         }
         (p1, _) if p1.is_nonexistent() => None,
         _ => kd_monte_carlo(db, kernels, scheme, attr, f1, f2, opts, rng),
@@ -329,6 +320,48 @@ mod tests {
         let opts = KdOptions::default();
         let mut rng = DetRng::seed_from_u64(7);
         assert!(kd(&db, &kernels, &s1_actor1, 0, ids["a3"], ids["a1"], &opts, &mut rng).is_none());
+    }
+
+    #[test]
+    fn kd_cached_matches_kd_bitwise_across_a_replay() {
+        use crate::distcache::DistCache;
+        let (mut db, ids) = movies_database_labeled();
+        let s5 = scheme_named(
+            &db,
+            "ACTORS[aid]—COLLABORATIONS[actor1], COLLABORATIONS[movie]—MOVIES[mid]",
+        );
+        let kernels = KernelAssignment::defaults(&db);
+        let opts = KdOptions::default();
+        let mut cache = DistCache::new(std::sync::Arc::default());
+        // KD(a1, a4) through a bound cache view, against the uncached
+        // reference; the view's entries are absorbed so the cache is warm.
+        let check = |cache: &mut DistCache, db: &Database| {
+            cache.ensure_bound(db, opts.exact_limit);
+            let mut view = cache.view();
+            let q2 = view.value_distribution(db, &s5, 4, ids["a4"]);
+            let mut rng = DetRng::seed_from_u64(99);
+            let cached = kd_cached(
+                db, &kernels, &s5, 4, ids["a1"], ids["a4"], &q2, &opts, &mut rng, &mut view,
+            )
+            .unwrap();
+            cache.absorb(view.into_delta());
+            let mut rng = DetRng::seed_from_u64(1);
+            let reference = kd(db, &kernels, &s5, 4, ids["a1"], ids["a4"], &opts, &mut rng);
+            assert_eq!(cached.to_bits(), reference.unwrap().to_bits());
+            cached.to_bits()
+        };
+        let before = check(&mut cache, &db);
+        assert_eq!(cache.stats().kd_misses, 1, "one exact evaluation");
+        // A new collaboration for a4: the replay must evict a4's warm
+        // entries, and the recomputed value follows the new database.
+        db.insert_into(
+            "COLLABORATIONS",
+            vec!["a04".into(), "a03".into(), "m01".into()],
+        )
+        .unwrap();
+        let after = check(&mut cache, &db);
+        assert_eq!(cache.stats().replays, 1, "fine-grained catch-up");
+        assert_ne!(after, before, "a4 gained a destination");
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!   with the SVD pseudoinverse ([`dynamic`]).
 //! * A **walk-distribution cache** under the KD/dynamic stack
 //!   ([`distcache`]): exact distributions are memoised by
-//!   `(scheme, start)` / `(scheme, attr, start)`, resumable BFS frontiers
-//!   by `(prefix, start)`, and exact KD values by
-//!   `(scheme, attr, f1, f2)` — all invalidated through `reldb`'s
+//!   `(scheme, start)` / `(scheme, attr, start)` and resumable BFS
+//!   frontiers by `(prefix, start)` — all invalidated through `reldb`'s
 //!   mutation journal, scoped by each scheme's (or prefix's)
 //!   FK-reachability ([`schemes::SchemeReach`]) — a mutation evicts only
 //!   the entries it can actually influence, so the cache stays warm
@@ -75,7 +74,7 @@ pub mod train;
 pub mod walkdist;
 
 pub use config::ForwardConfig;
-pub use distcache::{CacheStats, DistCache, DistCacheStats};
+pub use distcache::{DistCache, DistCacheStats};
 pub use dynamic::ExtendOptions;
 pub use embedder::{ForwardEmbedder, Node2VecEmbedder, TupleEmbedder};
 pub use kernel::{

@@ -125,8 +125,7 @@ impl ForwardEmbedding {
         // resume (see `SchemePlan::persist_prefixes`); on plans with
         // little sharing this is what keeps cache-backed evaluation from
         // paying bookkeeping a plain BFS does not.
-        let mut dist_cache = DistCache::new();
-        dist_cache.set_persist_prefixes(std::sync::Arc::new(plan.persist_prefixes()));
+        let dist_cache = DistCache::new(std::sync::Arc::new(plan.persist_prefixes()));
         let kernels = KernelAssignment::defaults(db);
         let mut rng = DetRng::seed_from_u64(seed);
 
@@ -457,8 +456,7 @@ impl ForwardEmbedding {
             )));
         }
         let plan = SchemePlan::from_targets(rel, &targets);
-        let mut dist_cache = DistCache::new();
-        dist_cache.set_persist_prefixes(std::sync::Arc::new(plan.persist_prefixes()));
+        let dist_cache = DistCache::new(std::sync::Arc::new(plan.persist_prefixes()));
         Ok(ForwardEmbedding {
             rel,
             dim: config.dim,
@@ -477,7 +475,8 @@ impl ForwardEmbedding {
     /// Move the cache out for a solve that also borrows `self` shared
     /// (see `extend_with`); pair with [`Self::put_back_dist_cache`].
     pub(crate) fn take_dist_cache(&mut self) -> DistCache {
-        std::mem::take(&mut self.dist_cache)
+        let placeholder = self.dist_cache.empty_like();
+        std::mem::replace(&mut self.dist_cache, placeholder)
     }
 
     /// Return the (possibly warmed) cache taken by

@@ -8,7 +8,8 @@
 //! * a **pseudoinverse** (`C⁺`) for the dynamic-phase linear system
 //!   `C · ϕ(f_new) = b` (paper Eq. 10), built on a symmetric Jacobi
 //!   eigendecomposition of `CᵀC`,
-//! * Cholesky and Householder-QR solvers used as fast paths / fallbacks,
+//! * a ridge-regularised Cholesky solver as the alternative least-squares
+//!   path,
 //! * basic descriptive statistics for reporting accuracy ± std.
 //!
 //! Everything operates on `f64`. Matrices are row-major. The implementations
@@ -23,7 +24,6 @@ pub mod jacobi;
 pub mod lstsq;
 pub mod matrix;
 pub mod pinv;
-pub mod qr;
 pub mod stats;
 pub mod vector;
 
@@ -32,7 +32,6 @@ pub use jacobi::SymmetricEigen;
 pub use lstsq::{lstsq, ridge_solve, LstsqMethod};
 pub use matrix::Matrix;
 pub use pinv::{pinv, pinv_solve, pinv_solve_gram, Svd};
-pub use qr::QrDecomposition;
 pub use stats::{mean, mean_std, std_dev};
 
 /// Numerical tolerance used throughout the crate when deciding whether a
@@ -49,8 +48,6 @@ pub enum LinalgError {
     NotPositiveDefinite,
     /// An iterative routine failed to converge within its iteration budget.
     NoConvergence(&'static str),
-    /// The system is singular and the chosen method cannot produce a solution.
-    Singular,
 }
 
 impl std::fmt::Display for LinalgError {
@@ -65,7 +62,6 @@ impl std::fmt::Display for LinalgError {
             LinalgError::NoConvergence(which) => {
                 write!(f, "{which} did not converge")
             }
-            LinalgError::Singular => write!(f, "matrix is singular"),
         }
     }
 }

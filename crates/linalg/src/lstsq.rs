@@ -6,7 +6,7 @@
 //! ridge-regularised Cholesky path (useful as an ablation: the bench crate
 //! compares quality/runtime of both).
 
-use crate::{pinv::pinv_solve_gram, Cholesky, LinalgError, Matrix, QrDecomposition, Result};
+use crate::{pinv::pinv_solve_gram, Cholesky, LinalgError, Matrix, Result};
 
 /// Strategy used by [`lstsq`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -15,8 +15,6 @@ pub enum LstsqMethod {
     /// Handles rank deficiency. This is the default.
     #[default]
     PseudoInverse,
-    /// Householder QR; fastest, but errors out on rank-deficient input.
-    Qr,
     /// Ridge-regularised normal equations `(AᵀA + λI)x = Aᵀb`, solved by
     /// Cholesky. Always succeeds for λ > 0.
     Ridge(f64),
@@ -34,7 +32,6 @@ pub fn lstsq(a: &Matrix, b: &[f64], method: LstsqMethod) -> Result<Vec<f64>> {
     }
     match method {
         LstsqMethod::PseudoInverse => pinv_solve_gram(a, b),
-        LstsqMethod::Qr => QrDecomposition::decompose(a)?.solve(b),
         LstsqMethod::Ridge(lambda) => ridge_solve(a, b, lambda),
     }
 }
@@ -76,11 +73,7 @@ mod tests {
     #[test]
     fn all_methods_agree_on_consistent_system() {
         let (a, x_true, b) = well_conditioned();
-        for method in [
-            LstsqMethod::PseudoInverse,
-            LstsqMethod::Qr,
-            LstsqMethod::Ridge(1e-10),
-        ] {
+        for method in [LstsqMethod::PseudoInverse, LstsqMethod::Ridge(1e-10)] {
             let x = lstsq(&a, &b, method).unwrap();
             for (xi, ti) in x.iter().zip(x_true.iter()) {
                 assert!((xi - ti).abs() < 1e-6, "{method:?} off: {xi} vs {ti}");
@@ -99,13 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn pinv_handles_rank_deficiency_where_qr_fails() {
+    fn pinv_and_ridge_handle_rank_deficiency() {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]);
         let b = vec![2.0, 4.0, 6.0];
-        assert_eq!(
-            lstsq(&a, &b, LstsqMethod::Qr).unwrap_err(),
-            LinalgError::Singular
-        );
         let x = lstsq(&a, &b, LstsqMethod::PseudoInverse).unwrap();
         // Minimum-norm solution of x0 + x1 = 2: (1, 1).
         assert!((x[0] - 1.0).abs() < 1e-9);

@@ -7,7 +7,7 @@
 //! `dot` and `axpy` are thin forwarding wrappers over the shared
 //! vectorised kernels in [`stembed_runtime::kernel`] (fixed-lane f64
 //! accumulation, runtime-dispatched wide/scalar paths), so every solver
-//! caller — matvec, QR, Cholesky, the FoRWaRD minibatch step — picks up
+//! caller — matvec, Cholesky, the FoRWaRD minibatch step — picks up
 //! the vectorised path without touching its call sites. Note the lane
 //! split reassociates the reduction relative to the old serial chain:
 //! results changed at the last-ulp level when this landed (see

@@ -8,7 +8,6 @@
 //! * an **RBF-kernel SVM** trained with a simplified SMO solver
 //!   ([`smo`], the `SVC` equivalent, with scikit-learn's `gamma="scale"`
 //!   default),
-//! * a **linear SVM** (Pegasos SGD) as a fast alternative ([`linear_svm`]),
 //! * **logistic regression** used by the flat-feature baseline
 //!   ([`logreg`]),
 //! * **one-vs-rest** multiclass reduction ([`multiclass`]),
@@ -16,7 +15,6 @@
 //!   ([`cv`]) and accuracy metrics ([`metrics`]).
 
 pub mod cv;
-pub mod linear_svm;
 pub mod logreg;
 pub mod metrics;
 pub mod multiclass;
@@ -24,7 +22,6 @@ pub mod scaler;
 pub mod smo;
 
 pub use cv::{cross_validate, stratified_kfold};
-pub use linear_svm::LinearSvm;
 pub use logreg::LogisticRegression;
 pub use metrics::{accuracy, majority_class, ConfusionMatrix};
 pub use multiclass::{BinaryClassifier, OneVsRest};

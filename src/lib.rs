@@ -17,7 +17,7 @@
 //! | crate | re-export | contents |
 //! |---|---|---|
 //! | `stembed-runtime` | [`runtime`] | deterministic RNG streams ([`runtime::DetRng`], [`runtime::stream_rng`]) and the shard-based parallel [`runtime::Runtime`] under every compute layer |
-//! | `linalg` | [`linalg`] | dense matrices, QR/Cholesky/Jacobi-eigen, SVD pseudoinverse, least squares |
+//! | `linalg` | [`linalg`] | dense matrices, Cholesky/Jacobi-eigen, SVD pseudoinverse, least squares |
 //! | `reldb` | [`reldb`] | in-memory relational database: schemas, foreign keys, cascade deletion journals, the paper's movies example |
 //! | `dbgraph` | [`dbgraph`] | bipartite fact/value graph `G_D` and parallel Node2Vec walk sampling |
 //! | `node2vec` | [`node2vec`] | SGNS training with frozen-vector dynamic continuation |
