@@ -8,8 +8,8 @@
 //!
 //! * `extend_one_tuple` — one cascade group re-inserted, one `extend` call,
 //!   per method × dataset (the all-at-once per-tuple cost). Node2Vec's
-//!   extend maintains its negative-sampling table **incrementally** (only
-//!   the buckets of nodes the continuation walks visit are rebuilt).
+//!   extend re-smooths only the negative-sampling weights of nodes the
+//!   continuation walks visit, then rebuilds the table on reused storage.
 //! * `one_by_one_rounds` — the paper's flagship protocol (§VI-E): several
 //!   prediction tuples cascade-deleted, then re-inserted **one by one**,
 //!   extending after every round. `FoRWaRD-warm` carries the persistent
@@ -82,8 +82,7 @@ fn prepare(cfg: &ExperimentConfig) -> Vec<Prepared> {
             }
             let fwd =
                 ForwardEmbedding::train(&db, ds.prediction_rel, &cfg.fwd, 3).expect("training");
-            let n2v = Node2VecEmbedder::train_localized(&db, ds.prediction_rel, &cfg.n2v, 3)
-                .with_mode(ExtendMode::OneByOne);
+            let n2v = Node2VecEmbedder::train(&db, &cfg.n2v, 3).with_mode(ExtendMode::OneByOne);
             Prepared {
                 name,
                 db,

@@ -114,14 +114,6 @@ fn bench_sampling(c: &mut Criterion) {
             black_box(cumulative.partition_point(|&c| c <= x).min(n - 1))
         });
     });
-    // The two-level bucketed alias (what NegativeTable uses since the
-    // incremental-maintenance change): two draws per sample instead of
-    // one, bought back by sub-linear updates on the dynamic path.
-    let bucketed = stembed_runtime::BucketAlias::new(&weights);
-    group.bench_function("bucket_alias_sample_4096", |b| {
-        let mut rng = DetRng::seed_from_u64(3);
-        b.iter(|| black_box(bucketed.sample(&mut rng)));
-    });
     group.finish();
 }
 

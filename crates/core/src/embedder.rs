@@ -165,13 +165,7 @@ pub struct Node2VecEmbedder {
 impl Node2VecEmbedder {
     /// Static phase: build `G_D` and train SGNS over it.
     pub fn train(db: &Database, config: &Node2VecConfig, seed: u64) -> Self {
-        let graph = DbGraph::build(db);
-        let model = Node2VecModel::train(graph.graph(), config, seed);
-        Node2VecEmbedder {
-            graph,
-            model,
-            mode: ExtendMode::OneByOne,
-        }
+        Self::train_with_runtime(db, config, seed, stembed_runtime::Runtime::from_env())
     }
 
     /// Static phase on an explicit execution runtime.
@@ -190,48 +184,17 @@ impl Node2VecEmbedder {
         }
     }
 
-    /// Static phase with **access-locality node ids**: like
-    /// [`Node2VecEmbedder::train`], but the graph is built via
-    /// [`DbGraph::build_localized`], relabelling nodes in BFS order from
-    /// `rel`'s fact nodes before the CSR arrays (and hence the embedding
-    /// arenas and the `BucketAlias` negative table) are laid out. The
-    /// dynamic phase's continuation walks then touch clustered ids —
-    /// fewer negative-table bucket rebuilds and better arena locality.
-    ///
-    /// Fact-level results are identical in distribution but not
-    /// bitwise-equal to [`Node2VecEmbedder::train`] (walk RNG streams are
-    /// keyed per node id); both are individually deterministic.
-    pub fn train_localized(
-        db: &Database,
-        rel: RelationId,
-        config: &Node2VecConfig,
-        seed: u64,
-    ) -> Self {
-        let graph = DbGraph::build_localized(db, rel);
-        let model = Node2VecModel::train(graph.graph(), config, seed);
-        Node2VecEmbedder {
-            graph,
-            model,
-            mode: ExtendMode::OneByOne,
-        }
-    }
-
-    /// [`Node2VecEmbedder::train_localized`] on an explicit execution
-    /// runtime.
+    /// Forwards to [`Node2VecEmbedder::train_with_runtime`]; `_rel` is
+    /// ignored. Kept only because the benchmark still calls it: delete it
+    /// once the benchmark switches to `train_with_runtime`.
     pub fn train_localized_with_runtime(
         db: &Database,
-        rel: RelationId,
+        _rel: RelationId,
         config: &Node2VecConfig,
         seed: u64,
         runtime: stembed_runtime::Runtime,
     ) -> Self {
-        let graph = DbGraph::build_localized(db, rel);
-        let model = Node2VecModel::train_with_runtime(graph.graph(), config, seed, runtime);
-        Node2VecEmbedder {
-            graph,
-            model,
-            mode: ExtendMode::OneByOne,
-        }
+        Self::train_with_runtime(db, config, seed, runtime)
     }
 
     /// Select the dynamic-phase walk-resampling mode.

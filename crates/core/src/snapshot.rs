@@ -44,8 +44,11 @@ use stembed_wal::WalError;
 /// Blob tag under which the FoRWaRD embedder is stored in a
 /// [`stembed_wal::Snapshot`].
 pub const FORWARD_BLOB: &str = "forward";
-/// Blob tag under which the Node2Vec embedder is stored.
-pub const NODE2VEC_BLOB: &str = "node2vec";
+/// Blob tag under which the Node2Vec embedder is stored. Versioned with
+/// the blob layout: `.v2` dropped the node-id relabelling section, so a
+/// snapshot holding only an older `"node2vec"` blob fails recovery as
+/// corrupt instead of being misparsed.
+pub const NODE2VEC_BLOB: &str = "node2vec.v2";
 
 // ---------------------------------------------------------------- FoRWaRD
 
@@ -219,9 +222,9 @@ fn read_kernel_kinds(r: &mut ByteReader<'_>) -> Result<Vec<Vec<KernelKind>>, Wal
 // --------------------------------------------------------------- Node2Vec
 
 /// Serialize a Node2Vec embedder: config, extend mode, the CSR graph with
-/// its kind table and optional BFS relabelling, the SGNS parameter arenas,
-/// and the walk visit counts (from which the negative-sampling table is
-/// re-derived byte-identically).
+/// its kind table, the SGNS parameter arenas, and the walk visit counts
+/// (from which the negative-sampling table is re-derived byte-identically).
+/// Node ids are insertion-order ids, so no id map is stored.
 pub fn encode_node2vec(emb: &Node2VecEmbedder) -> Vec<u8> {
     let mut w = ByteWriter::new();
     write_n2v_config(&mut w, emb.model().config());
@@ -251,16 +254,6 @@ pub fn encode_node2vec(emb: &Node2VecEmbedder) -> Vec<u8> {
                 w.u8(1);
                 w.u32(*class);
                 write_value(&mut w, value);
-            }
-        }
-    }
-    match emb.graph().insertion_ids() {
-        None => w.u8(0),
-        Some(inv) => {
-            w.u8(1);
-            w.len_prefix(inv.len());
-            for &v in inv {
-                w.u32(v);
             }
         }
     }
@@ -333,22 +326,7 @@ pub fn decode_node2vec(db: &Database, bytes: &[u8]) -> Result<Node2VecEmbedder, 
             t => return Err(WalError::Corrupt(format!("bad node-kind tag {t}"))),
         });
     }
-    let insertion_id = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.count_prefix(4)?;
-            if n != graph.node_count() {
-                return Err(WalError::Corrupt("relabelling length mismatch".into()));
-            }
-            let mut inv = Vec::with_capacity(n);
-            for _ in 0..n {
-                inv.push(r.u32()?);
-            }
-            Some(inv)
-        }
-        t => return Err(WalError::Corrupt(format!("bad relabelling tag {t}"))),
-    };
-    let dbgraph = DbGraph::from_raw_parts(db.schema(), graph, kinds, insertion_id);
+    let dbgraph = DbGraph::from_raw_parts(db.schema(), graph, kinds);
 
     let dim = read_usize(&mut r)?;
     let nodes = r.count_prefix(8 * dim + 9)?;
@@ -460,19 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn node2vec_round_trip_is_bit_identical_including_relabelling() {
+    fn node2vec_round_trip_is_bit_identical() {
         let (db, _) = movies_database_labeled();
         let actors = db.schema().relation_id("ACTORS").unwrap();
-        let emb =
-            Node2VecEmbedder::train_localized(&db, actors, &node2vec::Node2VecConfig::small(), 7);
+        let emb = Node2VecEmbedder::train(&db, &node2vec::Node2VecConfig::small(), 7);
         let bytes = encode_node2vec(&emb);
         let back = decode_node2vec(&db, &bytes).unwrap();
         for f in db.fact_ids(actors) {
             assert_eq!(emb.embedding(f), back.embedding(f), "vector of {f}");
         }
-        // Kind table, relabelling and visit counts all survive.
+        // Kind table and visit counts survive.
         assert_eq!(emb.graph().kinds(), back.graph().kinds());
-        assert_eq!(emb.graph().insertion_ids(), back.graph().insertion_ids());
         assert_eq!(emb.model().counts(), back.model().counts());
         assert_eq!(encode_node2vec(&back), bytes);
     }

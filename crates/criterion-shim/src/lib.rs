@@ -14,6 +14,11 @@
 //! timed and the mean / median / min nanoseconds-per-iteration reported.
 //! When `STEMBED_BENCH_JSON` is set, all results are additionally written
 //! to that path as a JSON array (consumed by `scripts/bench.sh`).
+//!
+//! Like criterion, the first command-line argument that does not start
+//! with `-` filters benchmarks by substring of `group/id`:
+//! `cargo bench -p bench --bench substrates -- sampling` runs only the
+//! matching benchmarks (cargo itself passes `--bench`, hence the skip).
 
 use std::fmt::Display;
 use std::hint::black_box;
@@ -46,9 +51,27 @@ pub struct BenchResult {
 #[derive(Debug, Default)]
 pub struct Criterion {
     results: Vec<BenchResult>,
+    /// Substring a benchmark's `group/id` must contain to run.
+    filter: Option<String>,
 }
 
 impl Criterion {
+    /// A collector whose name filter is the first argument of `args`
+    /// (program name excluded) that does not start with `-`; no such
+    /// argument means every benchmark runs.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        Criterion {
+            results: Vec::new(),
+            filter: args.into_iter().find(|a| !a.starts_with('-')),
+        }
+    }
+
+    fn selects(&self, group: &str, id: &str) -> bool {
+        self.filter
+            .as_deref()
+            .is_none_or(|f| format!("{group}/{id}").contains(f))
+    }
+
     /// Open a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -151,25 +174,32 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Measure a closure.
+    /// Measure a closure (skipped when the name filter rejects it).
     pub fn bench_function<F>(&mut self, id: impl Into<String>, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let mut bencher = Bencher::new(self.sample_size);
-        f(&mut bencher);
-        self.record(id.into(), bencher);
+        let id = id.into();
+        if self.criterion.selects(&self.name, &id) {
+            let mut bencher = Bencher::new(self.sample_size);
+            f(&mut bencher);
+            self.record(id, bencher);
+        }
         self
     }
 
-    /// Measure a closure parameterised by an input.
+    /// Measure a closure parameterised by an input (skipped when the name
+    /// filter rejects it).
     pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut bencher = Bencher::new(self.sample_size);
-        f(&mut bencher, input);
-        self.record(id.to_string(), bencher);
+        let id = id.to_string();
+        if self.criterion.selects(&self.name, &id) {
+            let mut bencher = Bencher::new(self.sample_size);
+            f(&mut bencher, input);
+            self.record(id, bencher);
+        }
         self
     }
 
@@ -315,12 +345,13 @@ macro_rules! criterion_group {
     };
 }
 
-/// Mirror of criterion's `criterion_main!`: generates `main`.
+/// Mirror of criterion's `criterion_main!`: generates `main`, which reads
+/// the name filter from the command line ([`Criterion::from_args`]).
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::from_args(std::env::args().skip(1));
             $($group(&mut c);)+
             c.final_summary();
         }
@@ -357,6 +388,43 @@ mod tests {
         g.finish();
         assert_eq!(c.results().len(), 1);
         assert_eq!(c.results()[0].samples, 2);
+    }
+
+    #[test]
+    fn first_non_flag_argument_filters_by_group_and_id() {
+        let args = ["--bench", "sampling"].map(String::from);
+        let mut c = Criterion::from_args(args);
+        let mut g = c.benchmark_group("negative_sampling");
+        g.sample_size(2);
+        g.bench_function("alias", |b| b.iter(|| 1u8));
+        g.finish();
+        let mut g = c.benchmark_group("walks");
+        g.sample_size(2);
+        let mut ran = false;
+        g.bench_function("corpus", |b| {
+            ran = true;
+            b.iter(|| 1u8);
+        });
+        g.bench_with_input(BenchmarkId::new("param", 3), &3u8, |b, &x| {
+            ran = true;
+            b.iter(|| x);
+        });
+        g.finish();
+        assert!(!ran, "benches outside the filter must not run");
+        let names: Vec<String> = c
+            .results()
+            .iter()
+            .map(|r| format!("{}/{}", r.group, r.id))
+            .collect();
+        assert_eq!(names, ["negative_sampling/alias"]);
+
+        // Flags alone select everything.
+        let mut c = Criterion::from_args(["--bench".to_string()]);
+        let mut g = c.benchmark_group("walks");
+        g.sample_size(2);
+        g.bench_function("corpus", |b| b.iter(|| 1u8));
+        g.finish();
+        assert_eq!(c.results().len(), 1);
     }
 
     #[test]

@@ -26,25 +26,19 @@ pub enum NodeKind {
 pub struct DbGraph {
     graph: Graph,
     kinds: Vec<NodeKind>,
-    /// Ordered map: relabelling rewrites every entry in place, and the
-    /// visit order must be hasher-independent.
+    /// Ordered map: `FactId` is `Ord`, so no hasher state can ever leak
+    /// into a result through this map, and a future walk over it needs
+    /// no iteration-order waiver.
     fact_nodes: BTreeMap<FactId, NodeId>,
     /// Stays a `HashMap`: [`Value`] has no consistent `Ord` (`Float` keys
     /// are compared by `PartialEq`, which identifies `-0.0 == 0.0`, while
-    /// any total order would have to split them). Every iteration over it
-    /// is order-insensitive (see the waiver at `apply_relabel`).
+    /// any total order would have to split them). It is only ever probed
+    /// by key, never iterated.
     value_nodes: HashMap<(u32, Value), NodeId>,
     /// `column_class[rel][attr]` → equivalence class id.
     column_class: Vec<Vec<u32>>,
     /// A representative `(relation, attribute)` per class, for display.
     class_repr: Vec<(RelationId, usize)>,
-    /// When built via [`DbGraph::build_localized`]: `insertion_id[n]` is
-    /// the insertion-order id node `n` would have carried under
-    /// [`DbGraph::build`] — the inverse of the BFS relabelling, kept so
-    /// external consumers can recover the original (stable) ordering.
-    /// Nodes added by later extensions append their own id (extensions
-    /// go to the tail in insertion order either way).
-    insertion_id: Option<Vec<u32>>,
 }
 
 impl DbGraph {
@@ -93,91 +87,6 @@ impl DbGraph {
 
     /// Build `G_D` for the whole database.
     pub fn build(db: &Database) -> DbGraph {
-        let mut this = Self::build_unfinalized(db);
-        // One finalize pass merges the whole buffered edge batch into the
-        // CSR arrays: O(E log E) total instead of O(E·deg) sorted inserts.
-        this.graph.finalize();
-        this
-    }
-
-    /// [`DbGraph::build`] with **access-locality node ids**: before the
-    /// CSR arrays are laid out, nodes are relabelled in BFS order from
-    /// the fact nodes of `rel` (the prediction relation), unreached
-    /// nodes keeping their relative insertion order at the tail.
-    ///
-    /// Why: the dynamic protocol's continuation walks start at restored
-    /// prediction tuples and visit their graph neighbourhood — under
-    /// insertion-order ids (relation-major) that dirty set scatters
-    /// across the whole id space, touching nearly every fixed-size
-    /// bucket of the `BucketAlias` negative-sampling table and every
-    /// cache line of the embedding arenas. Under BFS-from-`rel` order,
-    /// graph-near nodes get near ids, so the dirty set clusters into few
-    /// buckets and contiguous rows. Node *identity* is unaffected:
-    /// facts and values resolve through the same maps, and
-    /// [`DbGraph::insertion_id`] exposes the inverse relabelling.
-    ///
-    /// This intentionally changes node-id-dependent outputs (walk RNG
-    /// streams are keyed per start id) relative to [`DbGraph::build`] —
-    /// deterministically, under the same seed/shard contract.
-    pub fn build_localized(db: &Database, rel: RelationId) -> DbGraph {
-        let mut this = Self::build_unfinalized(db);
-        let n = this.graph.node_count();
-        // Adjacency over the buffered edge list (CSR does not exist yet):
-        // counting-sort into a flat half-edge array.
-        let mut degree = vec![0u32; n];
-        for &(a, b) in this.graph.pending_edges() {
-            degree[a.index()] += 1;
-            degree[b.index()] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0u32);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut adj = vec![0u32; acc as usize];
-        for &(a, b) in this.graph.pending_edges() {
-            adj[cursor[a.index()] as usize] = b.0;
-            cursor[a.index()] += 1;
-            adj[cursor[b.index()] as usize] = a.0;
-            cursor[b.index()] += 1;
-        }
-        // BFS seeded by `rel`'s fact nodes in fact-id order; neighbour
-        // rows visited in insertion order — fully deterministic.
-        let mut new_id_of = vec![u32::MAX; n];
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        let mut head = 0usize;
-        let enqueue = |v: u32, order: &mut Vec<u32>, new_id_of: &mut Vec<u32>| {
-            if new_id_of[v as usize] == u32::MAX {
-                new_id_of[v as usize] = order.len() as u32;
-                order.push(v);
-            }
-        };
-        for (fact_id, _) in db.facts(rel) {
-            let v = this.fact_nodes[&fact_id];
-            enqueue(v.0, &mut order, &mut new_id_of);
-        }
-        while head < order.len() {
-            let v = order[head] as usize;
-            head += 1;
-            for &w in &adj[offsets[v] as usize..offsets[v + 1] as usize] {
-                enqueue(w, &mut order, &mut new_id_of);
-            }
-        }
-        // Disconnected remainder: insertion order at the tail.
-        for v in 0..n as u32 {
-            enqueue(v, &mut order, &mut new_id_of);
-        }
-        this.apply_relabel(&new_id_of, order);
-        this.graph.finalize();
-        this
-    }
-
-    /// Shared construction: all fact/value nodes added, edges still
-    /// buffered (no finalize yet).
-    fn build_unfinalized(db: &Database) -> DbGraph {
         let (column_class, class_repr) = Self::column_classes(db.schema());
         let mut this = DbGraph {
             graph: Graph::new(),
@@ -186,39 +95,16 @@ impl DbGraph {
             value_nodes: HashMap::new(),
             column_class,
             class_repr,
-            insertion_id: None,
         };
         for rel in db.schema().relation_ids() {
             for (fact_id, _) in db.facts(rel) {
                 this.add_fact_node(db, fact_id);
             }
         }
+        // One finalize pass merges the whole buffered edge batch into the
+        // CSR arrays: O(E log E) total instead of O(E·deg) sorted inserts.
+        this.graph.finalize();
         this
-    }
-
-    /// Install a node permutation across every id-indexed structure:
-    /// the buffered graph, the kind table and both lookup maps.
-    /// `new_id_of[old] = new`; `order[new] = old` (the inverse, retained
-    /// as [`DbGraph::insertion_id`]).
-    fn apply_relabel(&mut self, new_id_of: &[u32], order: Vec<u32>) {
-        self.graph.relabel(new_id_of);
-        let mut kinds = Vec::with_capacity(self.kinds.len());
-        for &old in &order {
-            kinds.push(self.kinds[old as usize].clone());
-        }
-        self.kinds = kinds;
-        for v in self.fact_nodes.values_mut() {
-            *v = NodeId(new_id_of[v.index()]);
-        }
-        // Pure per-entry rewrite: every value is mapped independently
-        // through `new_id_of`, so the visit order cannot influence any
-        // result. `value_nodes` cannot become a `BTreeMap` — `Value` has
-        // no consistent total order (see the field docs).
-        // lint: nondeterministic-iter-ok(order-insensitive in-place rewrite; Value is not Ord)
-        for v in self.value_nodes.values_mut() {
-            *v = NodeId(new_id_of[v.index()]);
-        }
-        self.insertion_id = Some(order);
     }
 
     /// Extend the graph with a newly inserted fact (paper §IV-A). Returns
@@ -247,24 +133,13 @@ impl DbGraph {
         new_nodes
     }
 
-    /// Allocate a graph node, keeping the inverse relabelling (if any)
-    /// aligned: post-build nodes sit at the tail, where BFS id and
-    /// insertion id coincide.
-    fn alloc_node(&mut self) -> NodeId {
-        let v = self.graph.add_node();
-        if let Some(inv) = &mut self.insertion_id {
-            inv.push(v.0);
-        }
-        v
-    }
-
     fn add_fact_node(&mut self, db: &Database, fact_id: FactId) -> Vec<NodeId> {
         assert!(
             !self.fact_nodes.contains_key(&fact_id),
             "fact {fact_id} already has a node"
         );
         let mut new_nodes = Vec::new();
-        let v = self.alloc_node();
+        let v = self.graph.add_node();
         self.kinds.push(NodeKind::Fact(fact_id));
         self.fact_nodes.insert(fact_id, v);
         new_nodes.push(v);
@@ -282,7 +157,7 @@ impl DbGraph {
             let u = match self.value_nodes.get(&key) {
                 Some(&u) => u,
                 None => {
-                    let u = self.alloc_node();
+                    let u = self.graph.add_node();
                     self.kinds.push(NodeKind::Value {
                         class: key.0,
                         value: key.1.clone(),
@@ -312,18 +187,6 @@ impl DbGraph {
         self.fact_nodes.get(&fact).copied()
     }
 
-    /// The insertion-order id node `id` would carry under
-    /// [`DbGraph::build`] — the identity unless this graph was built via
-    /// [`DbGraph::build_localized`]. Lets consumers present a stable,
-    /// build-order-independent numbering regardless of the internal
-    /// (locality-optimised) id layout.
-    pub fn insertion_id(&self, id: NodeId) -> NodeId {
-        match &self.insertion_id {
-            Some(inv) => NodeId(inv[id.index()]),
-            None => id,
-        }
-    }
-
     /// The value node for `(rel, attr, value)`, if present.
     pub fn value_node(&self, rel: RelationId, attr: usize, value: &Value) -> Option<NodeId> {
         let class = self.column_class[rel.index()][attr];
@@ -351,33 +214,16 @@ impl DbGraph {
         &self.kinds
     }
 
-    /// The inverse BFS relabelling installed by
-    /// [`DbGraph::build_localized`], or `None` for insertion-order
-    /// builds. Part of the snapshot: the id layout is state, not derivable
-    /// from the database.
-    pub fn insertion_ids(&self) -> Option<&[u32]> {
-        self.insertion_id.as_deref()
-    }
-
-    /// Rebuild a `DbGraph` from snapshotted parts: the CSR graph, the kind
-    /// table, and the optional inverse relabelling. The lookup maps are
+    /// Rebuild a `DbGraph` from snapshotted parts: the CSR graph and the
+    /// kind table. The lookup maps are
     /// rebuilt from `kinds` and the column classes re-derived from
     /// `schema` — both are deterministic functions of their inputs, so a
     /// round trip reproduces the original graph exactly.
     ///
     /// # Panics
-    /// If `kinds.len()` does not match the graph's node count, or the
-    /// relabelling (when present) has the wrong length.
-    pub fn from_raw_parts(
-        schema: &Schema,
-        graph: Graph,
-        kinds: Vec<NodeKind>,
-        insertion_id: Option<Vec<u32>>,
-    ) -> DbGraph {
+    /// If `kinds.len()` does not match the graph's node count.
+    pub fn from_raw_parts(schema: &Schema, graph: Graph, kinds: Vec<NodeKind>) -> DbGraph {
         assert_eq!(kinds.len(), graph.node_count(), "kind table length");
-        if let Some(inv) = &insertion_id {
-            assert_eq!(inv.len(), graph.node_count(), "relabelling length");
-        }
         let (column_class, class_repr) = Self::column_classes(schema);
         let mut fact_nodes = BTreeMap::new();
         let mut value_nodes = HashMap::new();
@@ -398,7 +244,6 @@ impl DbGraph {
             value_nodes,
             column_class,
             class_repr,
-            insertion_id,
         }
     }
 
@@ -564,70 +409,6 @@ mod tests {
         assert_eq!(full.graph().edge_count(), g.graph().edge_count());
         let v_c4 = g.fact_node(ids["c4"]).unwrap();
         assert_eq!(g.graph().degree(v_c4), 3);
-    }
-
-    #[test]
-    fn localized_build_is_isomorphic_and_roundtrips() {
-        let (db, ids) = movies_database_labeled();
-        let base = DbGraph::build(&db);
-        let collabs = db.schema().relation_id("COLLABORATIONS").unwrap();
-        let loc = DbGraph::build_localized(&db, collabs);
-        assert_eq!(loc.graph().node_count(), base.graph().node_count());
-        assert_eq!(loc.graph().edge_count(), base.graph().edge_count());
-        // The relabelling round-trips: `insertion_id` maps every localized
-        // node back to a build-order node of the same kind…
-        for id in loc.graph().node_ids() {
-            assert_eq!(base.node_kind(loc.insertion_id(id)), loc.node_kind(id));
-        }
-        // …and agrees with the fact map (perm ∘ inverse = identity on the
-        // external handles).
-        for &fact in ids.values() {
-            let v_loc = loc.fact_node(fact).unwrap();
-            let v_base = base.fact_node(fact).unwrap();
-            assert_eq!(loc.insertion_id(v_loc), v_base);
-        }
-        // Edges are preserved under the map (graph isomorphism).
-        for id in loc.graph().node_ids() {
-            for &n in loc.graph().neighbors(id) {
-                assert!(base
-                    .graph()
-                    .has_edge(loc.insertion_id(id), loc.insertion_id(n)));
-            }
-        }
-        // The BFS seeds — the prediction relation's fact nodes — received
-        // the smallest ids.
-        let mut seed_ids: Vec<u32> = db
-            .facts(collabs)
-            .map(|(f, _)| loc.fact_node(f).unwrap().0)
-            .collect();
-        seed_ids.sort_unstable();
-        let expect: Vec<u32> = (0..seed_ids.len() as u32).collect();
-        assert_eq!(seed_ids, expect);
-        // An un-localized graph maps ids to themselves.
-        for id in base.graph().node_ids() {
-            assert_eq!(base.insertion_id(id), id);
-        }
-    }
-
-    #[test]
-    fn localized_build_extends_at_the_tail() {
-        // Nodes added after a localized build append at the tail, where the
-        // BFS id and the insertion id coincide.
-        let (mut db, ids) = movies_database_labeled();
-        let collabs = db.schema().relation_id("COLLABORATIONS").unwrap();
-        let journal = reldb::cascade::cascade_delete(&mut db, ids["c4"], false).unwrap();
-        let mut g = DbGraph::build_localized(&db, collabs);
-        let n = g.graph().node_count() as u32;
-        reldb::cascade::restore_journal(&mut db, &journal).unwrap();
-        let new_nodes = g.extend_with_fact(&db, ids["c4"]);
-        assert!(!new_nodes.is_empty());
-        for &v in &new_nodes {
-            assert!(v.0 >= n);
-            assert_eq!(g.insertion_id(v), v);
-        }
-        // Structure still matches a from-scratch build.
-        let full = DbGraph::build(&db);
-        assert_eq!(full.graph().edge_count(), g.graph().edge_count());
     }
 
     #[test]

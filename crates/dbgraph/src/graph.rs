@@ -91,39 +91,6 @@ impl Graph {
         self.pending.is_empty()
     }
 
-    /// Relabel every node: the node currently known as `old` becomes
-    /// `new_id_of[old]`. `new_id_of` must be a permutation of
-    /// `0..node_count`.
-    ///
-    /// Only legal **before the first finalize** (no CSR rows built yet —
-    /// the buffered edge list is rewritten in place, O(E)); this is the
-    /// access-locality hook [`crate::DbGraph::build_localized`] uses to
-    /// install a BFS node order before the CSR arrays are laid out.
-    pub fn relabel(&mut self, new_id_of: &[u32]) {
-        assert!(
-            self.neighbors.is_empty(),
-            "relabel is only supported before the first finalize"
-        );
-        assert_eq!(new_id_of.len(), self.node_count(), "permutation length");
-        debug_assert!(
-            {
-                let mut seen = vec![false; new_id_of.len()];
-                new_id_of.iter().all(|&n| {
-                    let ok = (n as usize) < seen.len() && !seen[n as usize];
-                    if ok {
-                        seen[n as usize] = true;
-                    }
-                    ok
-                })
-            },
-            "new_id_of must be a permutation"
-        );
-        for (a, b) in &mut self.pending {
-            *a = NodeId(new_id_of[a.index()]);
-            *b = NodeId(new_id_of[b.index()]);
-        }
-    }
-
     /// Merge all buffered edges into the CSR arrays: one counting-sort pass
     /// over old rows plus pending half-edges, then a per-row sort of the
     /// rows that actually grew. Idempotent; a no-op when nothing is pending.
@@ -228,12 +195,6 @@ impl Graph {
     /// Iterate over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.node_count() as u32).map(NodeId)
-    }
-
-    /// The edges buffered since the last finalize (crate-internal: the
-    /// BFS relabelling pass walks these before the CSR layout exists).
-    pub(crate) fn pending_edges(&self) -> &[(NodeId, NodeId)] {
-        &self.pending
     }
 
     /// The CSR arrays `(offsets, neighbors, edge_count)`, for

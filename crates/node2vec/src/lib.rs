@@ -14,9 +14,9 @@
 //!
 //! The whole pipeline runs on cache-friendly, O(1)-sampling substrates:
 //! walks arrive as a flat token arena ([`dbgraph::WalkCorpus`]), negatives
-//! come from a bucketed-alias [`NegativeTable`] (O(1) per draw, and
-//! **sub-linear maintenance**: a dynamic-extension round refreshes only
-//! the buckets of nodes its continuation walks visited), and the SGNS
+//! come from an alias-method [`NegativeTable`] (O(1) per draw; a
+//! dynamic-extension round re-smooths only the nodes its continuation
+//! walks visited and rebuilds the table on reused storage), and the SGNS
 //! inner loop works on contiguous embedding rows with a preallocated
 //! center-gradient scratch buffer.
 

@@ -25,11 +25,10 @@ pub struct Node2VecModel {
     /// the dynamic phase can update them with the newly sampled walks.
     counts: Vec<usize>,
     /// The negative-sampling table, kept alive across `extend` calls and
-    /// caught up **incrementally** ([`NegativeTable::update`]): each round's
-    /// continuation walks change the counts of only the nodes they visit,
-    /// and only those nodes' buckets (plus the top-level bucket-mass table)
-    /// are rebuilt — sub-linear in the node count, byte-identical to a
-    /// fresh table.
+    /// caught up by [`NegativeTable::update`]: each round's continuation
+    /// walks change the counts of only the nodes they visit, only those
+    /// nodes are re-smoothed, and the alias columns are rebuilt on reused
+    /// storage — byte-identical to a fresh table.
     negatives: NegativeTable,
     /// Reusable walk-corpus arena for the dynamic phase's continuation
     /// walks (cleared and refilled each `extend` call).
@@ -157,10 +156,10 @@ impl Node2VecModel {
         }
         // Per-round structures are *reused*, not rebuilt: the walk corpus
         // refills the model's arena, and the negative table is caught up
-        // incrementally — the continuation walks touch only a few nodes'
-        // counts, and `NegativeTable::update` rebuilds exactly those
-        // nodes' buckets (sub-linear in the node count). Both are
-        // byte-identical to fresh construction, so the continuation
+        // in place — the continuation walks touch only a few nodes'
+        // counts, and `NegativeTable::update` re-smooths exactly those
+        // nodes before rebuilding the alias columns on reused storage.
+        // Both are byte-identical to fresh construction, so the continuation
         // training consumes exactly the same random streams.
         // `ExtendTiming` is wall-clock diagnostics for benches; the clock
         // reads live behind the `timing` feature (see `crate::stopwatch`),
@@ -233,16 +232,17 @@ impl Node2VecModel {
     }
 
     /// Maintenance counters of the negative-sampling table (rebuilds vs
-    /// incremental updates, dirty nodes, buckets rebuilt).
+    /// incremental updates, dirty nodes).
     pub fn negative_stats(&self) -> NegativeTableStats {
         self.negatives.stats()
     }
 
-    /// Number of buckets backing the negative-sampling table (the
-    /// denominator for judging `buckets_rebuilt` in
-    /// [`Node2VecModel::negative_stats`]).
+    /// Always 1: the negative-sampling table is one flat alias table.
+    /// Kept only because the benchmark still divides
+    /// [`NegativeTableStats::buckets_rebuilt`] by it; delete both once the
+    /// benchmark retires its bucket metrics.
     pub fn negative_bucket_count(&self) -> usize {
-        self.negatives.bucket_count()
+        1
     }
 
     /// The configuration the model was trained with.

@@ -1,29 +1,26 @@
-//! Unigram^0.75 negative-sampling table (Mikolov et al. 2013) on a
-//! **two-level bucketed alias** sampler.
+//! Unigram^0.75 negative-sampling table (Mikolov et al. 2013) on a flat
+//! alias sampler.
 //!
 //! The table is built once per training run from per-node occurrence
 //! counts with the classic `count^0.75` smoothing, then sampled once per
 //! negative — the single hottest sampling site of the SGNS pipeline
-//! (`negatives` draws per positive pair). Draws stay **O(1)** (the alias
-//! method, [`stembed_runtime::BucketAlias`]); what the bucketed layout
-//! buys over the flat [`stembed_runtime::AliasTable`] of earlier
-//! revisions is **sub-linear maintenance**: the dynamic extension's
-//! continuation walks change the counts of only the nodes they visit, and
-//! [`NegativeTable::update`] rebuilds exactly those nodes' buckets plus
-//! the top-level table over bucket masses — O(dirty·B + n/B) instead of
-//! re-smoothing and re-building all `n` nodes per extend.
+//! (`negatives` draws per positive pair). Draws are **O(1)** with one RNG
+//! draw each ([`stembed_runtime::AliasTable`]). The dynamic extension's
+//! continuation walks change the counts of only the nodes they visit, so
+//! [`NegativeTable::update`] re-smooths just those nodes (and any appended
+//! ones) and then rebuilds the alias columns in place on reused storage.
 //!
 //! A table maintained through any `update` sequence is byte-identical to
-//! a fresh [`NegativeTable::new`] over the same counts (the bucket
-//! sampler's determinism contract), so the incrementally-maintained
-//! dynamic path consumes exactly the random streams of the from-scratch
-//! reference.
+//! a fresh [`NegativeTable::new`] over the same counts (alias construction
+//! is a pure function of the weight column), so the
+//! incrementally-maintained dynamic path consumes exactly the random
+//! streams of the from-scratch reference.
 //!
 //! The original CDF sampler is kept under `#[cfg(test)]` as the reference
 //! implementation for the distribution-equivalence tests below.
 
 use stembed_runtime::rng::DetRng;
-use stembed_runtime::BucketAlias;
+use stembed_runtime::{AliasScratch, AliasTable};
 
 /// Maintenance counters of a [`NegativeTable`] (diagnostics and the
 /// `profile_extend` example's sampler-regression smoke check).
@@ -35,9 +32,9 @@ pub struct NegativeTableStats {
     pub updates: u64,
     /// Dirty node indices across all updates.
     pub dirty_nodes: u64,
-    /// Buckets rebuilt across all updates (the sub-linearity evidence:
-    /// stays far below `updates × bucket_count` when dirty sets are
-    /// sparse).
+    /// Alias tables rebuilt across all updates: one per update, since the
+    /// flat table is rebuilt whole. Kept for the benchmark, which still
+    /// reports it.
     pub buckets_rebuilt: u64,
 }
 
@@ -47,12 +44,14 @@ pub struct NegativeTableStats {
 /// The table owns its construction workspace, so a long-lived instance
 /// (e.g. the one `Node2VecModel` keeps across dynamic extension rounds)
 /// can be caught up with fresh counts by [`NegativeTable::update`]
-/// (sub-linear: only dirty buckets) or fully re-made by
+/// (re-smoothing only the dirty nodes) or fully re-made by
 /// [`NegativeTable::rebuild`] — both without reallocating the weight
 /// column, the worklists, or the alias arrays.
 #[derive(Debug, Clone)]
 pub struct NegativeTable {
-    sampler: BucketAlias,
+    sampler: AliasTable,
+    /// Alias construction workspace, reused across rebuilds.
+    scratch: AliasScratch,
     /// Smoothed-weight column, updated in place across rounds.
     weights: Vec<f64>,
     stats: NegativeTableStats,
@@ -69,7 +68,8 @@ impl NegativeTable {
     /// zero count get zero mass and are never sampled.
     pub fn new(counts: &[usize]) -> Self {
         let mut table = NegativeTable {
-            sampler: BucketAlias::new(&[]),
+            sampler: AliasTable::new(&[]),
+            scratch: AliasScratch::default(),
             weights: Vec::new(),
             stats: NegativeTableStats::default(),
         };
@@ -84,16 +84,16 @@ impl NegativeTable {
     pub fn rebuild(&mut self, counts: &[usize]) {
         self.weights.clear();
         self.weights.extend(counts.iter().map(|&c| smooth(c)));
-        self.sampler.rebuild(&self.weights);
+        self.sampler.rebuild_in(&self.weights, &mut self.scratch);
         self.stats.rebuilds += 1;
     }
 
     /// Incrementally catch the table up with `counts`, of which only the
     /// indices in `dirty` changed since the last rebuild/update; `counts`
     /// may also have **grown** (appended nodes need not appear in
-    /// `dirty`). Cost is sub-linear in the node count: only the dirty
-    /// nodes' smoothed weights are recomputed and only their buckets (plus
-    /// the top-level bucket-mass table) are rebuilt.
+    /// `dirty`). Only the dirty and appended nodes' smoothed weights are
+    /// recomputed; the alias columns are then rebuilt in O(n) on reused
+    /// storage.
     ///
     /// Byte-identical to [`NegativeTable::new`] over the same counts —
     /// callers may freely mix `update` and `rebuild` without perturbing
@@ -114,10 +114,10 @@ impl NegativeTable {
             }
             // i >= old_len: already smoothed by the append above.
         }
-        let rebuilt = self.sampler.update(&self.weights, dirty);
+        self.sampler.rebuild_in(&self.weights, &mut self.scratch);
         self.stats.updates += 1;
         self.stats.dirty_nodes += dirty.len() as u64;
-        self.stats.buckets_rebuilt += rebuilt as u64;
+        self.stats.buckets_rebuilt += 1;
     }
 
     /// `true` iff no node has positive mass.
@@ -126,7 +126,7 @@ impl NegativeTable {
     }
 
     /// Sample one node id proportional to smoothed frequency, in O(1)
-    /// (one bucket draw + one in-bucket draw).
+    /// (one RNG draw).
     #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> usize {
         debug_assert!(!self.is_empty(), "sampling from an empty table");
@@ -146,11 +146,6 @@ impl NegativeTable {
     /// Total smoothed mass over all nodes.
     pub fn total_weight(&self) -> f64 {
         self.sampler.total_weight()
-    }
-
-    /// Number of buckets backing the sampler.
-    pub fn bucket_count(&self) -> usize {
-        self.sampler.bucket_count()
     }
 
     /// Lifetime maintenance counters.
@@ -332,7 +327,7 @@ mod tests {
     }
 
     /// Property-style equivalence: on seeded random count vectors, the
-    /// bucketed alias sampler and the reference CDF sampler draw from the
+    /// alias sampler and the reference CDF sampler draw from the
     /// same distribution, judged by chi-square against the smoothed
     /// masses.
     #[test]

@@ -15,8 +15,7 @@
 //! (the word2vec formulation), and the per-pair work is a fused
 //! dot-product / gradient / axpy pass over two contiguous rows — no
 //! bounds checks in the hot path, no per-pair allocation, O(1) negative
-//! draws via the bucketed-alias [`NegativeTable`] (whose two-level layout
-//! also gives the dynamic phase sub-linear table maintenance).
+//! draws via the alias-method [`NegativeTable`].
 //!
 //! The embedding arenas are stored **f32** and every gradient runs
 //! through the shared mixed-precision kernels

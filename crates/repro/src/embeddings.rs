@@ -58,11 +58,7 @@ impl AnyEmbedder {
                 seed,
             )?))),
             Method::Node2Vec => Ok(AnyEmbedder::Node2Vec(Box::new(
-                // Localized build: BFS node ids from the prediction
-                // relation keep the dynamic phase's dirty sets clustered
-                // (few negative-table buckets, contiguous arena rows).
-                Node2VecEmbedder::train_localized(db, ds.prediction_rel, &cfg.n2v, seed)
-                    .with_mode(mode),
+                Node2VecEmbedder::train(db, &cfg.n2v, seed).with_mode(mode),
             ))),
         }
     }

@@ -29,7 +29,9 @@ use std::sync::Arc;
 use stembed_core::embedder::{ForwardEmbedder, Node2VecEmbedder};
 use stembed_core::snapshot::{encode_forward, encode_node2vec, FORWARD_BLOB, NODE2VEC_BLOB};
 use stembed_core::{ForwardConfig, TupleEmbedder};
-use stembed_wal::{read_wal_tail, FailPoint, Frame, FramePayload, SimVfs, Snapshot, Vfs, WalError};
+use stembed_wal::{
+    read_wal_tail, write_snapshot, FailPoint, Frame, FramePayload, SimVfs, Snapshot, Vfs, WalError,
+};
 
 const DIR: &str = "crashdir";
 /// Small enough that fsync boundaries fall *inside* cascade groups and
@@ -303,4 +305,28 @@ fn wal_failure_inside_a_mutation_surfaces_at_the_pipeline() {
     assert_eq!(err, WalError::Crashed);
     // Still latched: the pipeline stays dead until recovered.
     assert_eq!(pipe.sync().unwrap_err(), WalError::Crashed);
+}
+
+/// A snapshot whose Node2Vec state sits only under the pre-`.v2` tag was
+/// written in a layout this build no longer reads: recovery must refuse it
+/// as corrupt rather than decode the blob with the wrong section list.
+#[test]
+fn snapshot_with_only_the_old_node2vec_tag_is_corrupt() {
+    let fx = fixture();
+    let vfs = Arc::new(SimVfs::new());
+    let old = Snapshot::capture(
+        &fx.db,
+        0,
+        vec![
+            (FORWARD_BLOB.to_string(), encode_forward(&fx.fwd)),
+            ("node2vec".to_string(), encode_node2vec(&fx.n2v)),
+        ],
+    );
+    write_snapshot(vfs.as_ref(), DIR, &old).unwrap();
+    let generic: Arc<dyn Vfs> = vfs.clone();
+    match DurablePipeline::recover(generic, DIR, SYNC_EVERY) {
+        Err(WalError::Corrupt(msg)) => assert!(msg.contains("node2vec"), "{msg}"),
+        Err(e) => panic!("expected Corrupt, got {e:?}"),
+        Ok(_) => panic!("recovered from a snapshot in the old Node2Vec layout"),
+    }
 }

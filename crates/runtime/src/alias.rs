@@ -123,17 +123,6 @@ impl AliasTable {
         self.thresh.len()
     }
 
-    /// The acceptance-threshold column (crate-internal: the bucketed
-    /// sampler copies freshly built bucket tables into its flat storage).
-    pub(crate) fn thresh_column(&self) -> &[u64] {
-        &self.thresh
-    }
-
-    /// The alias column (see [`AliasTable::thresh_column`]).
-    pub(crate) fn alias_column(&self) -> &[u32] {
-        &self.alias
-    }
-
     /// `true` iff the table has no outcome with positive mass.
     pub fn is_empty(&self) -> bool {
         self.total <= 0.0

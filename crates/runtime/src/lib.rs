@@ -22,14 +22,11 @@
 //! be pinned with the `STEMBED_SHARDS` environment variable (or explicitly
 //! via [`Runtime::new`]).
 //!
-//! The crate also hosts the shared **O(1) discrete samplers**: the flat
-//! [`alias::AliasTable`] (Walker 1977) for fixed distributions — one table
-//! built up front, two array reads per draw instead of a binary search —
-//! and the two-level [`bucket::BucketAlias`] for distributions that
-//! *change* incrementally (dynamic negative sampling): same O(1) draws,
-//! but updating `k` of `n` weights rebuilds only the affected fixed-size
-//! buckets plus a top-level table over bucket masses, never the whole
-//! structure.
+//! The crate also hosts the shared **O(1) discrete sampler**, the alias
+//! table [`alias::AliasTable`] (Walker 1977): one table built up front,
+//! two array reads per draw instead of a binary search, and an in-place
+//! rebuild on reused storage for distributions that change between rounds
+//! (dynamic negative sampling).
 //!
 //! Finally, the crate hosts the workspace's **mixed-precision SGD
 //! kernels** ([`kernel`]): f32-storage / f64-accumulate dot, axpy and
@@ -40,7 +37,6 @@
 //! hot loops.
 
 pub mod alias;
-pub mod bucket;
 pub mod kernel;
 pub mod par;
 mod pool;
@@ -48,7 +44,6 @@ pub mod rng;
 pub mod seed;
 
 pub use alias::{AliasScratch, AliasTable};
-pub use bucket::BucketAlias;
 pub use par::Runtime;
 pub use rng::{DetRng, Rng, SplitMix64};
 pub use seed::{derive_seed, stream_rng};

@@ -14,10 +14,9 @@
 //!   prefix tier's reuse share (what fraction of frontier lookups resumed
 //!   a cached parent instead of starting a fresh BFS); a throwaway-cache
 //!   pass of the same rounds prints last for comparison.
-//! * **Node2Vec** extends with the bucketed negative table: per round it
-//!   prints how many nodes the continuation walks dirtied and how many
-//!   sampler buckets were rebuilt out of the total — the sub-linearity
-//!   evidence at a glance.
+//! * **Node2Vec** extends in insertion-order node ids, catching its
+//!   negative-sampling table up per round: it prints how many nodes the
+//!   continuation walks dirtied and the SGNS kernel's share of the extend.
 //!
 //! Run with `cargo run --release --example profile_extend`. Environment
 //! knobs: `PROFILE_SCALE` (dataset scale, default 0.08), `PROFILE_ASSERT`
@@ -165,74 +164,48 @@ fn main() {
             }
         }
 
-        // Node2Vec: the same rounds on the incrementally-maintained
-        // negative-sampling table (sub-linear: only dirty buckets rebuilt),
-        // once under insertion-order node ids and once under the
-        // BFS-localized layout — the second pass shows the continuation
-        // walks' dirty sets clustering into fewer sampler buckets. Per
-        // round the kernel share (SGNS time / extend wall-clock, from
+        // Node2Vec: the same rounds, catching the negative-sampling table
+        // up per round (only dirty nodes re-smoothed). Per round the
+        // kernel share (SGNS time / extend wall-clock, from
         // `last_extend_timing`) is printed alongside.
         let mut cfg = repro::ExperimentConfig::quick();
         cfg.n2v.epochs = 2;
-        let mut rebuilt_by_pass = [0u64; 2];
-        for localized in [false, true] {
-            let label = if localized { "n2v/bfs" } else { "n2v/ins" };
-            let mut db_n = db.clone();
-            let mut n2v = if localized {
-                stembed_core::Node2VecEmbedder::train_localized(
-                    &db_n,
-                    ds.prediction_rel,
-                    &cfg.n2v,
-                    3,
-                )
-            } else {
-                stembed_core::Node2VecEmbedder::train(&db_n, &cfg.n2v, 3)
-            };
-            let mut prev = n2v.model().negative_stats();
-            let mut total = 0.0;
-            for (round, journal) in journals.iter().rev().enumerate() {
-                let restored = restore_journal(&mut db_n, journal).expect("restore");
-                let t = Instant::now();
-                n2v.extend(&db_n, &restored, 9 + round as u64)
-                    .expect("extend");
-                let dt = t.elapsed().as_secs_f64() * 1e3;
-                total += dt;
-                let s = n2v.model().negative_stats();
-                let timing = n2v.model().last_extend_timing();
-                println!(
-                    "  {label} round {round}: {dt:6.2} ms  dirty-nodes={:<5} \
-                     buckets-rebuilt={}/{} (of {} nodes)  kernel-share={:3.0}%",
-                    s.dirty_nodes - prev.dirty_nodes,
-                    s.buckets_rebuilt - prev.buckets_rebuilt,
-                    n2v.model().negative_bucket_count(),
-                    n2v.model().node_count(),
-                    100.0 * timing.kernel_share(),
-                );
-                prev = s;
-            }
+        let mut db_n = db.clone();
+        let mut n2v = stembed_core::Node2VecEmbedder::train(&db_n, &cfg.n2v, 3);
+        let mut prev = n2v.model().negative_stats();
+        let mut total = 0.0;
+        for (round, journal) in journals.iter().rev().enumerate() {
+            let restored = restore_journal(&mut db_n, journal).expect("restore");
+            let t = Instant::now();
+            n2v.extend(&db_n, &restored, 9 + round as u64)
+                .expect("extend");
+            let dt = t.elapsed().as_secs_f64() * 1e3;
+            total += dt;
             let s = n2v.model().negative_stats();
-            rebuilt_by_pass[localized as usize] = s.buckets_rebuilt;
-            println!("  {label} total: {total:.2} ms");
-            if assert_mode {
-                // The regression this guards: the extend path silently going
-                // back to full O(n) table rebuilds. (A bucket-count bound is
-                // deliberately NOT asserted — at smoke scale the dirty nodes
-                // scatter across the whole id space and legitimately touch
-                // every bucket; the sub-linear win there is skipping the
-                // per-node re-smoothing, which `updates`/`rebuilds` witness.)
-                assert_eq!(s.rebuilds, 1, "{name}: only the static phase rebuilds");
-                assert_eq!(
-                    s.updates,
-                    journals.len() as u64,
-                    "{name}: every round must catch up incrementally"
-                );
-                assert!(s.dirty_nodes > 0, "{name}: updates recorded no dirty nodes");
-            }
+            let timing = n2v.model().last_extend_timing();
+            println!(
+                "  n2v round {round}: {dt:6.2} ms  dirty-nodes={:<5} (of {} nodes)  \
+                 kernel-share={:3.0}%",
+                s.dirty_nodes - prev.dirty_nodes,
+                n2v.model().node_count(),
+                100.0 * timing.kernel_share(),
+            );
+            prev = s;
         }
-        println!(
-            "  n2v buckets-rebuilt over all rounds: insertion-order={} bfs-localized={}",
-            rebuilt_by_pass[0], rebuilt_by_pass[1]
-        );
+        println!("  n2v total: {total:.2} ms");
+        if assert_mode {
+            // The regression this guards: the extend path silently going
+            // back to full table rebuilds from the raw counts, where it
+            // should re-smooth only the dirty nodes.
+            let s = n2v.model().negative_stats();
+            assert_eq!(s.rebuilds, 1, "{name}: only the static phase rebuilds");
+            assert_eq!(
+                s.updates,
+                journals.len() as u64,
+                "{name}: every round must catch up incrementally"
+            );
+            assert!(s.dirty_nodes > 0, "{name}: updates recorded no dirty nodes");
+        }
 
         // WAL durability (`repro::durable`): the same restore+extend
         // rounds, once bare and once through the WAL-backed pipeline,
