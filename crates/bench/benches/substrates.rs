@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbgraph::{DbGraph, WalkConfig, Walker};
-use linalg::{lstsq, LstsqMethod, Matrix};
+use linalg::{pinv_solve_gram, Matrix};
 use std::hint::black_box;
 use stembed_runtime::rng::DetRng;
 
@@ -19,12 +19,7 @@ fn bench_linalg(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("pinv_solve", format!("{rows}x{cols}")),
             &(rows, cols),
-            |bench, _| bench.iter(|| black_box(lstsq(&a, &b, LstsqMethod::PseudoInverse).unwrap())),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("ridge_solve", format!("{rows}x{cols}")),
-            &(rows, cols),
-            |bench, _| bench.iter(|| black_box(lstsq(&a, &b, LstsqMethod::Ridge(1e-6)).unwrap())),
+            |bench, _| bench.iter(|| black_box(pinv_solve_gram(&a, &b).unwrap())),
         );
     }
     group.finish();

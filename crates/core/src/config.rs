@@ -28,9 +28,6 @@ pub struct ForwardConfig {
     pub init_bound: f64,
     /// How `KD` values (Eq. 8) are computed in the dynamic phase.
     pub kd: KdOptions,
-    /// Ridge regularisation for the dynamic solve; `None` uses the paper's
-    /// pseudoinverse (Eq. 10). `Some(λ)` is the ablation alternative.
-    pub ridge: Option<f64>,
 }
 
 impl ForwardConfig {
@@ -50,7 +47,6 @@ impl ForwardConfig {
             nnew_samples: 2_500,
             init_bound: 0.3,
             kd: KdOptions::default(),
-            ridge: None,
         }
     }
 
@@ -78,7 +74,6 @@ impl ForwardConfig {
             nnew_samples: 64,
             init_bound: 0.3,
             kd: KdOptions::default(),
-            ridge: None,
         }
     }
 }
@@ -101,7 +96,6 @@ mod tests {
         assert_eq!(c.batch_size, 50_000);
         assert_eq!(c.max_walk_len, 3);
         assert_eq!(c.nnew_samples, 2_500);
-        assert!(c.ridge.is_none(), "paper uses the pseudoinverse");
         let g = ForwardConfig::paper_genes();
         assert_eq!(g.nsamples, 1_000);
         assert_eq!(g.batch_size, 10_000);

@@ -368,7 +368,7 @@ impl DistCache {
     ///   fact ([`step_predecessors`]) to enumerate the start facts that
     ///   can reach it; only their entries go. For **inserts/restores**
     ///   the fact is live and read from the database; for **deletes** the
-    ///   record's journalled payload ([`MutationRecord::removed`]) stands
+    ///   record's journalled payload ([`MutationRecord::payload`]) stands
     ///   in for the tombstoned fact — the indexes behind the first reverse
     ///   step live on the predecessor side, so they answer for a dead
     ///   arrival fact exactly as for a live one.
@@ -381,10 +381,9 @@ impl DistCache {
     /// `f_i` is live now, and `f_i`'s own delete record carries its
     /// values — so the reverse walk from *that* record reaches `s` over
     /// live facts. Every record of the gap is replayed (a wrapped journal
-    /// falls back to a full clear), so no affected start escapes. A delete
-    /// record without payload (not produced by this `reldb`, but the type
-    /// permits it) and a reverse frontier exceeding the cap fall back to
-    /// wholesale eviction of the scheme.
+    /// falls back to a full clear), so no affected start escapes. A
+    /// reverse frontier exceeding the cap falls back to wholesale eviction
+    /// of the scheme.
     ///
     /// The **prefix tier** replays under the same machinery: a cached
     /// prefix is a walk scheme in its own right (its BFS reads exactly
@@ -486,8 +485,8 @@ impl DistCache {
 
 /// The start facts of `scheme` whose cached entries `records` can
 /// influence, sorted and deduplicated — or `None` when scoping is
-/// impossible (payload-less delete, reverse frontier over `reverse_cap`)
-/// and the caller must evict the scheme wholesale. The per-record logic
+/// impossible (reverse frontier over `reverse_cap`) and the caller must
+/// evict the scheme wholesale. The per-record logic
 /// is documented on [`DistCache::replay`]; this is shared by the
 /// fact/value pass and the prefix pass.
 fn affected_starts(
@@ -503,14 +502,10 @@ fn affected_starts(
         match reach.scope(record.rel) {
             ReachScope::AllStarts => {
                 // A delete's reverse walk runs from the journalled
-                // payload (the slot is a tombstone); a payload-less
-                // delete record cannot be scoped and goes coarse.
+                // payload (the slot is a tombstone).
                 let removed = match record.kind {
                     MutationKind::Insert | MutationKind::Restore => None,
-                    MutationKind::Delete => match &record.removed {
-                        Some(fact) => Some(fact.as_ref()),
-                        None => return None,
-                    },
+                    MutationKind::Delete => Some(record.payload.as_ref()),
                 };
                 if record.rel == scheme.start {
                     // The scheme re-enters its start relation:

@@ -42,8 +42,10 @@ use stembed_wal::codec::{
 use stembed_wal::WalError;
 
 /// Blob tag under which the FoRWaRD embedder is stored in a
-/// [`stembed_wal::Snapshot`].
-pub const FORWARD_BLOB: &str = "forward";
+/// [`stembed_wal::Snapshot`]. Versioned with the blob layout: `.v2`
+/// dropped the config's ridge field, so a snapshot holding only an older
+/// `"forward"` blob fails recovery as corrupt instead of being misparsed.
+pub const FORWARD_BLOB: &str = "forward.v2";
 /// Blob tag under which the Node2Vec embedder is stored. Versioned with
 /// the blob layout: `.v2` dropped the node-id relabelling section, so a
 /// snapshot holding only an older `"node2vec"` blob fails recovery as
@@ -144,13 +146,6 @@ fn write_forward_config(w: &mut ByteWriter, c: &ForwardConfig) {
     w.u64(c.kd.exact_limit as u64);
     w.u64(c.kd.mc_pairs as u64);
     w.u64(c.kd.max_attempts as u64);
-    match c.ridge {
-        None => w.u8(0),
-        Some(l) => {
-            w.u8(1);
-            w.f64_bits(l);
-        }
-    }
 }
 
 fn read_forward_config(r: &mut ByteReader<'_>) -> Result<ForwardConfig, WalError> {
@@ -167,11 +162,6 @@ fn read_forward_config(r: &mut ByteReader<'_>) -> Result<ForwardConfig, WalError
             exact_limit: read_usize(r)?,
             mc_pairs: read_usize(r)?,
             max_attempts: read_usize(r)?,
-        },
-        ridge: match r.u8()? {
-            0 => None,
-            1 => Some(r.f64_bits()?),
-            t => return Err(WalError::Corrupt(format!("bad ridge tag {t}"))),
         },
     })
 }

@@ -1,8 +1,9 @@
 //! Cholesky decomposition of symmetric positive-definite matrices.
 //!
-//! Used as the fast path for ridge-regularised normal equations
-//! `(CᵀC + λI) x = Cᵀ b` in the FoRWaRD dynamic phase, and for solving the
-//! KKT-ish systems inside the downstream classifiers.
+//! Used as the fast path of [`crate::pinv_solve_gram`]: when the Gram
+//! matrix `CᵀC` of the FoRWaRD dynamic phase is comfortably positive
+//! definite, one factorisation solves the normal equations
+//! `CᵀC x = Cᵀ b` exactly as the pseudoinverse would.
 
 use crate::{LinalgError, Matrix, Result};
 

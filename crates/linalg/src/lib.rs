@@ -8,8 +8,6 @@
 //! * a **pseudoinverse** (`C⁺`) for the dynamic-phase linear system
 //!   `C · ϕ(f_new) = b` (paper Eq. 10), built on a symmetric Jacobi
 //!   eigendecomposition of `CᵀC`,
-//! * a ridge-regularised Cholesky solver as the alternative least-squares
-//!   path,
 //! * basic descriptive statistics for reporting accuracy ± std.
 //!
 //! Everything operates on `f64`. Matrices are row-major. The implementations
@@ -21,7 +19,6 @@
 
 pub mod cholesky;
 pub mod jacobi;
-pub mod lstsq;
 pub mod matrix;
 pub mod pinv;
 pub mod stats;
@@ -29,7 +26,6 @@ pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use jacobi::SymmetricEigen;
-pub use lstsq::{lstsq, ridge_solve, LstsqMethod};
 pub use matrix::Matrix;
 pub use pinv::{pinv, pinv_solve, pinv_solve_gram, Svd};
 pub use stats::{mean, mean_std, std_dev};

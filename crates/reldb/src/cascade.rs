@@ -18,30 +18,23 @@
 //!    (Example 6.1 of the paper: deleting a collaboration removes the actor
 //!    that only it referenced).
 //!
-//! [`cascade_delete`] performs both and records every removal (in removal
-//! order) in a [`DeletionJournal`]. Replaying a journal in reverse restores
-//! the exact prior state — parents re-appear before the facts referencing
-//! them, so every intermediate state satisfies the constraints.
+//! [`cascade_delete`] performs both and keeps the database journal's
+//! delete record of every removal (in removal order) in a
+//! [`DeletionJournal`]. Replaying a journal in reverse restores the exact
+//! prior state — parents re-appear before the facts referencing them, so
+//! every intermediate state satisfies the constraints.
 
-use crate::{Database, Fact, FactId, Result};
+use crate::{Database, FactId, MutationRecord, Result};
 use std::collections::HashSet;
-
-/// One removed fact: its identity (slot is preserved for restoration) and
-/// its payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
-    /// The id the fact had (and will have again after restoration).
-    pub id: FactId,
-    /// The removed fact.
-    pub fact: Fact,
-}
 
 /// All facts removed by one cascading deletion, in removal order: referencing
 /// facts first, then the root, then collected orphans.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeletionJournal {
-    /// Entries in removal order.
-    pub entries: Vec<JournalEntry>,
+    /// The delete records, in removal order. Each record's `fact` is the
+    /// slot the fact had (and will have again after restoration); its
+    /// `payload` is the removed fact, shared with the database's journal.
+    pub entries: Vec<MutationRecord>,
 }
 
 impl DeletionJournal {
@@ -57,7 +50,7 @@ impl DeletionJournal {
 
     /// The ids of all removed facts, in removal order.
     pub fn ids(&self) -> impl Iterator<Item = FactId> + '_ {
-        self.entries.iter().map(|e| e.id)
+        self.entries.iter().map(|e| e.fact)
     }
 
     /// Merge another journal into this one (batch experiments accumulate
@@ -88,24 +81,25 @@ pub fn cascade_delete(
     if collect_orphans {
         // Repeatedly sweep: a parent may become orphaned only when one of
         // the facts removed so far referenced it. Process as a worklist.
-        let mut frontier: Vec<FactId> = journal.entries.iter().map(|e| e.id).collect();
+        let mut frontier: Vec<FactId> = journal.ids().collect();
         while let Some(id) = frontier.pop() {
             // Parents this fact referenced. The fact is already deleted, so
             // read its values from the journal.
-            let entry = journal
+            let fact = journal
                 .entries
                 .iter()
-                .find(|e| e.id == id)
+                .find(|e| e.fact == id)
                 // PANICS: never — the frontier was seeded from this journal.
                 .expect("frontier ids come from the journal")
+                .payload
                 .clone();
             let fk_ids: Vec<_> = db.schema().fks_from(id.rel).to_vec();
             for fk_id in fk_ids {
                 let fk = db.schema().foreign_key(fk_id).clone();
-                if entry.fact.any_null(&fk.from_attrs) {
+                if fact.any_null(&fk.from_attrs) {
                     continue;
                 }
-                let key = entry.fact.project(&fk.from_attrs);
+                let key = fact.project(&fk.from_attrs);
                 let Some(parent) = db.lookup_key(fk.to_rel, &key) else {
                     continue; // parent already removed
                 };
@@ -115,9 +109,8 @@ pub fn cascade_delete(
                 if db.reference_count(parent) == 0 {
                     // Orphaned by this cascade: remove (it has no children
                     // left by definition of reference_count == 0).
-                    let fact = db.delete_unchecked(parent)?;
+                    journal.entries.push(db.delete_unchecked(parent)?);
                     removed.insert(parent);
-                    journal.entries.push(JournalEntry { id: parent, fact });
                     frontier.push(parent);
                 }
             }
@@ -149,8 +142,7 @@ fn delete_with_children(
             delete_with_children(db, child, journal, removed)?;
         }
     }
-    let fact = db.delete_unchecked(id)?;
-    journal.entries.push(JournalEntry { id, fact });
+    journal.entries.push(db.delete_unchecked(id)?);
     Ok(())
 }
 
@@ -159,8 +151,8 @@ fn delete_with_children(
 pub fn restore_journal(db: &mut Database, journal: &DeletionJournal) -> Result<Vec<FactId>> {
     let mut restored = Vec::with_capacity(journal.len());
     for entry in journal.entries.iter().rev() {
-        db.restore(entry.id, entry.fact.clone())?;
-        restored.push(entry.id);
+        db.restore(entry.fact, entry.payload.clone())?;
+        restored.push(entry.fact);
     }
     Ok(restored)
 }
@@ -188,7 +180,7 @@ mod tests {
             "Wolf of Wall St. must survive"
         );
         // c1 removed first (root has no children), orphans after.
-        assert_eq!(journal.entries[0].id, ids["c1"]);
+        assert_eq!(journal.entries[0].fact, ids["c1"]);
     }
 
     #[test]
@@ -260,7 +252,7 @@ mod tests {
         let (mut db, ids) = movies_database_labeled();
         let journal = cascade_delete(&mut db, ids["a4"], true).unwrap();
         for entry in journal.entries.iter().rev() {
-            db.restore(entry.id, entry.fact.clone()).unwrap();
+            db.restore(entry.fact, entry.payload.clone()).unwrap();
             db.check_all_fks().unwrap();
         }
     }

@@ -1,53 +1,39 @@
 //! The in-memory database: fact storage, constraint enforcement, the
 //! secondary indexes that power random walks, and the **mutation journal**
-//! that lets derived caches invalidate themselves fine-grained.
+//! — the one log of every mutation, read both by derived caches that
+//! invalidate themselves fine-grained and by the write-ahead log.
 //!
 //! ## The mutation journal
 //!
 //! Every successful mutation ([`Database::insert`], [`Database::restore`],
 //! every deletion including cascades) bumps the [epoch](Database::epoch)
-//! counter **and** appends a [`MutationRecord`] to a bounded ring. A
-//! consumer that remembers the epoch it last observed can later ask
-//! [`Database::journal_since`] for exactly the mutations it missed and
-//! invalidate only what those mutations can reach — instead of dropping
-//! all derived state on any epoch change. The ring is bounded
-//! ([`Database::journal_capacity`]): when a consumer has fallen further
-//! behind than the ring remembers, `journal_since` returns `None` and the
-//! consumer falls back to a full rebuild — the journal is an optimisation
-//! channel, never a correctness requirement.
+//! counter **and** appends a [`MutationRecord`] carrying the complete fact
+//! (the live fact for inserts and restores, the removed values for
+//! deletes). A consumer that remembers the epoch it last observed can
+//! later ask [`Database::journal_since`] for exactly the mutations it
+//! missed and invalidate only what those mutations can reach — instead of
+//! dropping all derived state on any epoch change.
 //!
-//! ## Durability hooks
+//! The journal is a bounded window ([`Database::journal_capacity`]): when
+//! a consumer has fallen further behind than the window remembers,
+//! `journal_since` returns `None` and the consumer falls back to a full
+//! rebuild — for caches the journal is an optimisation channel, never a
+//! correctness requirement.
 //!
-//! A [`DurabilityHook`] observes the same stream the journal records, but
-//! synchronously and unboundedly: every successful mutation is reported to
-//! the attached hook *with its full fact payload* (inserts and restores
-//! pass the live fact, deletes pass the removed values), in epoch order.
-//! This is the attachment point for a write-ahead log (`stembed-wal`):
-//! because every record carries the complete fact, replaying the stream
-//! onto a snapshot reconstructs the database exactly — see
-//! [`Database::apply_mutation`].
+//! ## The pin: the journal as a write-ahead log source
+//!
+//! [`Database::pin_journal`] keeps every record newer than a given epoch,
+//! whatever the capacity. The durable pipeline (`repro::durable`) pins at
+//! the epoch it last wrote to its log; after each batch of mutations it
+//! appends every record of `journal_since(pinned)` as one WAL frame and
+//! moves the pin forward. Because every record carries its complete fact,
+//! replaying that stream onto a snapshot reconstructs the database exactly
+//! — see [`Database::apply_mutation`].
 
 use crate::{DbError, Fact, FactId, FkId, RelationId, Result, Schema, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Observer of the mutation stream, called synchronously by every
-/// successful mutation **after** stores, indexes, and the journal are
-/// updated. `payload` is always the complete fact: the live fact for
-/// inserts/restores, the removed values for deletes.
-///
-/// Implementations must be `Send + Sync` with interior mutability — the
-/// database is shared immutably across worker shards, so the hook is
-/// invoked through `&self`. Hooks must not call back into the database.
-/// I/O failures cannot be surfaced through this interface (mutations have
-/// already committed in memory); a write-ahead log implementation records
-/// them internally and reports them on its next explicit flush point.
-pub trait DurabilityHook: std::fmt::Debug + Send + Sync {
-    /// One mutation, in epoch order. `record.removed` is populated for
-    /// deletes; `payload` is the fact for all three kinds.
-    fn on_mutation(&self, record: &MutationRecord, payload: &Fact);
-}
 
 /// Process-wide source of database identities (see [`Database::db_id`]).
 static NEXT_DB_ID: AtomicU64 = AtomicU64::new(1);
@@ -69,18 +55,17 @@ pub enum MutationKind {
 }
 
 /// One entry of the mutation journal: which fact of which relation was
-/// touched, how, and at which epoch. `record.epoch` is the value
-/// [`Database::epoch`] reached *by* this mutation — records of one lineage
-/// carry consecutive epochs, which is what makes "replay everything after
-/// epoch `e`" well defined.
+/// touched, how, at which epoch, and the fact itself. `record.epoch` is
+/// the value [`Database::epoch`] reached *by* this mutation — records of
+/// one lineage carry consecutive epochs, which is what makes "replay
+/// everything after epoch `e`" well defined.
 ///
-/// **Delete** records additionally carry the removed fact's values
-/// ([`MutationRecord::removed`], behind an [`Arc`] so records stay cheap
-/// to clone). Insert/restore consumers can read the mutated fact from the
-/// database, but a delete leaves only a tombstone — without the payload, a
-/// consumer that scopes invalidation by walking foreign keys *from* the
-/// mutated fact (key values, FK tuples) would have to treat every delete
-/// as touching everything.
+/// The payload sits behind an [`Arc`], so records stay cheap to clone and
+/// a cascade's [`DeletionJournal`](crate::DeletionJournal) shares the
+/// removed facts with the journal instead of copying them. A delete
+/// leaves only a tombstone, so its payload is the only place the removed
+/// key and FK tuples survive: a consumer that scopes invalidation by
+/// walking foreign keys *from* the mutated fact reads them there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MutationRecord {
     /// What happened.
@@ -92,23 +77,25 @@ pub struct MutationRecord {
     pub rel: RelationId,
     /// The epoch this mutation produced.
     pub epoch: u64,
-    /// For [`MutationKind::Delete`]: the removed fact's values (its key
-    /// and FK tuples, as they were when it was live). `None` for inserts
-    /// and restores, whose facts are live in the database.
-    pub removed: Option<std::sync::Arc<Fact>>,
+    /// The complete fact: the live fact for inserts and restores, the
+    /// removed values for deletes.
+    pub payload: Arc<Fact>,
 }
 
-/// Default bound of the mutation ring: comfortably above one dynamic-
+/// Default bound of the mutation window: comfortably above one dynamic-
 /// experiment insertion round (a prediction tuple plus its cascade group),
 /// small enough that a wrapped consumer's full rebuild is cheaper than
 /// replaying the backlog would have been.
 const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
-/// Bounded ring of the most recent [`MutationRecord`]s.
+/// The most recent [`MutationRecord`]s, oldest first: at most `capacity`
+/// of them, plus every record newer than the pin.
 #[derive(Debug, Clone)]
 struct MutationJournal {
     records: VecDeque<MutationRecord>,
     capacity: usize,
+    /// Records with an epoch above this are kept whatever `capacity` is.
+    pin: Option<u64>,
 }
 
 impl MutationJournal {
@@ -116,15 +103,26 @@ impl MutationJournal {
         MutationJournal {
             records: VecDeque::with_capacity(capacity.min(DEFAULT_JOURNAL_CAPACITY)),
             capacity,
+            pin: None,
         }
     }
 
     fn push(&mut self, record: MutationRecord) {
-        if self.records.len() == self.capacity {
+        // Make room first, so the buffer does not grow past `capacity`.
+        self.trim_to(self.capacity.saturating_sub(1));
+        self.records.push_back(record);
+        self.trim_to(self.capacity);
+    }
+
+    /// Drop the oldest records beyond `limit` that the pin does not hold.
+    fn trim_to(&mut self, limit: usize) {
+        while self.records.len() > limit
+            && self
+                .records
+                .front()
+                .is_some_and(|r| self.pin.is_none_or(|pin| r.epoch <= pin))
+        {
             self.records.pop_front();
-        }
-        if self.capacity > 0 {
-            self.records.push_back(record);
         }
     }
 }
@@ -166,10 +164,8 @@ pub struct Database {
     db_id: u64,
     /// Mutation epoch (see [`Database::epoch`]).
     epoch: u64,
-    /// Ring of the most recent mutations (see the module docs).
+    /// The most recent mutations (see the module docs).
     journal: MutationJournal,
-    /// Synchronous observer of the mutation stream (see [`DurabilityHook`]).
-    hook: Option<Arc<dyn DurabilityHook>>,
 }
 
 impl Clone for Database {
@@ -187,14 +183,11 @@ impl Clone for Database {
             defer_fk_checks: self.defer_fk_checks,
             db_id: fresh_db_id(),
             epoch: 0,
-            // A fresh lineage starts with an empty journal: its records
-            // would describe the *original*'s history, and epoch 0 of the
-            // clone names the cloned content, not an empty database.
+            // A fresh lineage starts with an empty, unpinned journal: its
+            // records would describe the *original*'s history, epoch 0 of
+            // the clone names the cloned content, not an empty database,
+            // and the pin belongs to the original's write-ahead log.
             journal: MutationJournal::new(self.journal.capacity),
-            // The hook persists the *original* lineage's WAL; a clone's
-            // mutations interleaving into it would corrupt the epoch
-            // stream, so clones start undurable until re-attached.
-            hook: None,
         }
     }
 }
@@ -221,7 +214,6 @@ impl Database {
             db_id: fresh_db_id(),
             epoch: 0,
             journal: MutationJournal::new(DEFAULT_JOURNAL_CAPACITY),
-            hook: None,
         }
     }
 
@@ -300,16 +292,16 @@ impl Database {
     /// The mutations that happened *after* epoch `since`, oldest first —
     /// exactly the records a consumer bound to `(db_id, since)` missed.
     ///
-    /// Returns `None` when the bounded ring no longer holds all of them
-    /// (the consumer fell behind by more than
-    /// [`Database::journal_capacity`] mutations, or `since` lies in the
-    /// future of this lineage); the caller must then fall back to a full
-    /// rebuild of whatever it derived.
+    /// Returns `None` when the journal no longer holds all of them (the
+    /// consumer fell behind by more than [`Database::journal_capacity`]
+    /// mutations past the [pin](Database::pin_journal), or `since` lies in
+    /// the future of this lineage); the caller must then fall back to a
+    /// full rebuild of whatever it derived.
     ///
     /// **Boundary contract:** the comparison is strict. A consumer lagging
-    /// by *exactly* the ring's length (`missed == records.len()`, e.g. a
-    /// full-capacity ring whose oldest retained record is the first one
-    /// missed) still replays — the full ring is returned. Only
+    /// by *exactly* the journal's length (`missed == records.len()`, e.g. a
+    /// full-capacity window whose oldest retained record is the first one
+    /// missed) still replays — the whole journal is returned. Only
     /// `missed > records.len()` — at least one missed record already
     /// discarded — reports the wrap. An off-by-one here in either
     /// direction would silently serve a partial history (unsound
@@ -331,92 +323,57 @@ impl Database {
         Some(self.journal.records.iter().skip(skip))
     }
 
-    /// Bound of the mutation ring (records retained before the oldest is
-    /// discarded).
+    /// Bound of the mutation window (records retained before the oldest
+    /// unpinned one is discarded).
     pub fn journal_capacity(&self) -> usize {
         self.journal.capacity
     }
 
-    /// Change the mutation-ring bound. Shrinking discards the oldest
-    /// records immediately. A capacity of 0 disables journalling —
-    /// [`Database::journal_since`] then answers only the trivial
-    /// "nothing missed" query.
+    /// Change the mutation-window bound. Shrinking discards the oldest
+    /// unpinned records immediately. A capacity of 0 keeps only pinned
+    /// records — unpinned, [`Database::journal_since`] then answers only
+    /// the trivial "nothing missed" query.
     pub fn set_journal_capacity(&mut self, capacity: usize) {
-        while self.journal.records.len() > capacity {
-            self.journal.records.pop_front();
-        }
         self.journal.capacity = capacity;
+        self.journal.trim_to(capacity);
     }
 
-    /// Attach a [`DurabilityHook`]; every subsequent successful mutation is
-    /// reported to it in epoch order. At most one hook is attached at a
-    /// time (a new attach replaces the old hook).
-    ///
-    /// Fails with [`DbError::JournalDisabled`] when journalling is off
-    /// ([`Database::set_journal_capacity`]`(0)`): a journal-disabled
-    /// database skips building delete payloads, and silently attaching
-    /// there would produce a WAL that cannot replay its deletes.
-    pub fn attach_durability_hook(&mut self, hook: Arc<dyn DurabilityHook>) -> Result<()> {
-        if self.journal.capacity == 0 {
-            return Err(DbError::JournalDisabled);
-        }
-        self.hook = Some(hook);
-        Ok(())
+    /// Keep every record newer than `epoch`, whatever the capacity, until
+    /// the pin moves; records at or below it fall back under the capacity
+    /// bound. A consumer that must see every mutation — the durable
+    /// pipeline's write-ahead log — pins the epoch it has consumed, reads
+    /// [`Database::journal_since`] that epoch, and pins again. Clones start
+    /// unpinned.
+    pub fn pin_journal(&mut self, epoch: u64) {
+        self.journal.pin = Some(epoch);
+        self.journal.trim_to(self.journal.capacity);
     }
 
-    /// Detach and return the current durability hook, if any.
-    pub fn detach_durability_hook(&mut self) -> Option<Arc<dyn DurabilityHook>> {
-        self.hook.take()
-    }
-
-    /// The currently attached durability hook, if any.
-    pub fn durability_hook(&self) -> Option<&Arc<dyn DurabilityHook>> {
-        self.hook.as_ref()
-    }
-
-    /// Bump the epoch and journal the mutation that caused it, then report
-    /// it to the durability hook. Called by every successful mutation,
-    /// after the stores and indexes are updated; deletes pass the removed
-    /// fact's values along.
+    /// Bump the epoch and journal the mutation that caused it. Called by
+    /// every successful mutation, after the stores and indexes are
+    /// updated. Returns the record (a cascade keeps it in its
+    /// [`DeletionJournal`](crate::DeletionJournal)).
     fn record_mutation(
         &mut self,
         kind: MutationKind,
         fact: FactId,
-        removed: Option<std::sync::Arc<Fact>>,
-    ) {
+        payload: Arc<Fact>,
+    ) -> MutationRecord {
         self.epoch += 1;
         let record = MutationRecord {
             kind,
             fact,
             rel: fact.rel,
             epoch: self.epoch,
-            removed,
+            payload,
         };
-        if let Some(hook) = &self.hook {
-            // Deletes carry their payload in the record (the slot is a
-            // tombstone by now, and `delete_unchecked` always builds the
-            // payload while a hook is attached); inserts and restores read
-            // the live fact.
-            let payload = match record.kind {
-                MutationKind::Delete => record
-                    .removed
-                    .as_deref()
-                    // PANICS: never — deletes capture their payload whenever
-                    // a hook is attached (see `record_mutation`).
-                    .expect("delete payload present while hook attached"),
-                MutationKind::Insert | MutationKind::Restore => self
-                    .fact(record.fact)
-                    // PANICS: never — the fact was just inserted/restored.
-                    .expect("mutated fact live while hook attached"),
-            };
-            hook.on_mutation(&record, payload);
-        }
-        self.journal.push(record);
+        self.journal.push(record.clone());
+        record
     }
 
     /// Re-apply one journalled mutation (crash-recovery replay). The
-    /// caller feeds back the exact stream a [`DurabilityHook`] observed —
-    /// in epoch order, onto a database restored from the snapshot the
+    /// caller feeds back the exact stream the journal recorded — in epoch
+    /// order, onto a database restored from the snapshot the
     /// stream follows ([`Database::from_snapshot_parts`]).
     ///
     /// Inserts re-run full validation and must land in the slot the log
@@ -436,7 +393,7 @@ impl Database {
                     )));
                 }
             }
-            MutationKind::Restore => self.restore(id, fact.clone())?,
+            MutationKind::Restore => self.restore(id, Arc::new(fact.clone()))?,
             MutationKind::Delete => {
                 self.delete_unchecked(id)?;
             }
@@ -594,10 +551,11 @@ impl Database {
         self.validate_fact(rel, &fact)?;
         let row = self.stores[rel.index()].slots.len() as u32;
         self.index_fact(rel, row, &fact);
+        let payload = Arc::new(fact.clone());
         self.stores[rel.index()].slots.push(Some(fact));
         self.stores[rel.index()].live += 1;
         let id = FactId::new(rel, row);
-        self.record_mutation(MutationKind::Insert, id, None);
+        self.record_mutation(MutationKind::Insert, id, payload);
         Ok(id)
     }
 
@@ -611,8 +569,9 @@ impl Database {
     }
 
     /// Re-insert `fact` into the tombstoned slot `id` (journal replay).
-    /// Validates the same constraints as [`Database::insert`].
-    pub fn restore(&mut self, id: FactId, fact: Fact) -> Result<()> {
+    /// Validates the same constraints as [`Database::insert`]. The journal
+    /// record shares `fact`; the slot holds its own copy.
+    pub fn restore(&mut self, id: FactId, fact: Arc<Fact>) -> Result<()> {
         let store = self
             .stores
             .get(id.rel.index())
@@ -624,16 +583,16 @@ impl Database {
         }
         self.validate_fact(id.rel, &fact)?;
         self.index_fact(id.rel, id.row, &fact);
-        self.stores[id.rel.index()].slots[id.row as usize] = Some(fact);
+        self.stores[id.rel.index()].slots[id.row as usize] = Some(Fact::clone(&fact));
         self.stores[id.rel.index()].live += 1;
-        self.record_mutation(MutationKind::Restore, id, None);
+        self.record_mutation(MutationKind::Restore, id, fact);
         Ok(())
     }
 
     /// Delete a fact. Fails with [`DbError::WouldDangle`] when other live
     /// facts still reference it — use [`crate::cascade`] for cascading
     /// semantics. Returns the removed fact.
-    pub fn delete(&mut self, id: FactId) -> Result<Fact> {
+    pub fn delete(&mut self, id: FactId) -> Result<Arc<Fact>> {
         let refs = self.reference_count(id);
         if refs > 0 {
             return Err(DbError::WouldDangle {
@@ -641,13 +600,14 @@ impl Database {
                 referencing: refs,
             });
         }
-        self.delete_unchecked(id)
+        Ok(self.delete_unchecked(id)?.payload)
     }
 
     /// Delete without the dangling-reference check. `pub(crate)`: only the
     /// cascade module may create temporary dangling states, and it repairs
-    /// them before returning.
-    pub(crate) fn delete_unchecked(&mut self, id: FactId) -> Result<Fact> {
+    /// them before returning. Returns the journal record, whose payload is
+    /// the removed fact.
+    pub(crate) fn delete_unchecked(&mut self, id: FactId) -> Result<MutationRecord> {
         let slot = self
             .stores
             .get_mut(id.rel.index())
@@ -658,19 +618,10 @@ impl Database {
         let fact = slot.take().ok_or(DbError::UnknownFact)?;
         self.stores[id.rel.index()].live -= 1;
         self.unindex_fact(id.rel, id.row, &fact);
-        // Journal the removed values: the slot is a tombstone from here
-        // on, and fine-grained invalidation needs the fact's key/FK
-        // tuples to scope what the delete could reach. With journalling
-        // disabled (capacity 0) the record is dropped on push, so skip
-        // the clone — unless a durability hook is attached, which always
-        // needs the payload to make its log replayable.
-        let removed = if self.journal.capacity > 0 || self.hook.is_some() {
-            Some(std::sync::Arc::new(fact.clone()))
-        } else {
-            None
-        };
-        self.record_mutation(MutationKind::Delete, id, removed);
-        Ok(fact)
+        // The journal keeps the removed values: the slot is a tombstone
+        // from here on, and fine-grained invalidation and the WAL both
+        // need the fact's key/FK tuples.
+        Ok(self.record_mutation(MutationKind::Delete, id, Arc::new(fact)))
     }
 
     /// Check every FK of every live fact; first violation wins. Used after
@@ -972,7 +923,7 @@ mod tests {
         let fact = db.delete(s).unwrap();
         assert!(db.fact(s).is_none());
         db.restore(s, fact.clone()).unwrap();
-        assert_eq!(db.fact(s), Some(&fact));
+        assert_eq!(db.fact(s), Some(fact.as_ref()));
         // Restoring a live slot fails.
         assert!(db.restore(s, fact).is_err());
     }
@@ -1014,14 +965,14 @@ mod tests {
         assert_eq!(records[0].epoch, e0 + 1);
         // Delete records carry the removed fact's values; the slot itself
         // is a tombstone by now.
-        let removed = records[0].removed.as_ref().expect("delete payload");
-        assert_eq!(removed.get(0), &Value::Text("s1".into()));
+        assert_eq!(records[0].payload.get(0), &Value::Text("s1".into()));
+        // Insert and restore records carry the live fact.
         assert_eq!(records[1].kind, MutationKind::Restore);
         assert_eq!(records[1].fact, s);
-        assert!(records[1].removed.is_none());
+        assert_eq!(Some(records[1].payload.as_ref()), db.fact(s));
         assert_eq!(records[2].kind, MutationKind::Insert);
         assert_eq!(records[2].fact, r);
-        assert!(records[2].removed.is_none());
+        assert_eq!(Some(records[2].payload.as_ref()), db.fact(r));
         assert_eq!(records[2].epoch, db.epoch());
         // A consumer already at the head misses nothing.
         assert_eq!(db.journal_since(db.epoch()).unwrap().count(), 0);
@@ -1086,77 +1037,49 @@ mod tests {
         assert_eq!(db.journal_since(e0 + 1).unwrap().count(), 4);
     }
 
-    /// Hook that records every report it receives.
-    #[derive(Debug, Default)]
-    struct RecordingHook {
-        seen: std::sync::Mutex<Vec<(MutationKind, FactId, u64, Fact)>>,
-    }
-
-    impl DurabilityHook for RecordingHook {
-        fn on_mutation(&self, record: &MutationRecord, payload: &Fact) {
-            self.seen.lock().unwrap().push((
-                record.kind,
-                record.fact,
-                record.epoch,
-                payload.clone(),
-            ));
-        }
-    }
-
     #[test]
-    fn hook_refuses_journal_disabled_database() {
-        let (mut db, _) = db_with_one_s();
-        db.set_journal_capacity(0);
-        let hook = std::sync::Arc::new(RecordingHook::default());
-        assert_eq!(
-            db.attach_durability_hook(hook.clone()),
-            Err(DbError::JournalDisabled)
-        );
-        assert!(db.durability_hook().is_none());
-        // Re-enabling journalling makes the attach valid.
-        db.set_journal_capacity(8);
-        db.attach_durability_hook(hook).unwrap();
-        assert!(db.durability_hook().is_some());
-    }
-
-    #[test]
-    fn hook_observes_every_mutation_with_payload_in_epoch_order() {
+    fn pinned_journal_keeps_every_record_past_capacity() {
         let (mut db, s) = db_with_one_s();
-        let hook = std::sync::Arc::new(RecordingHook::default());
-        db.attach_durability_hook(hook.clone()).unwrap();
+        db.set_journal_capacity(0);
         let e0 = db.epoch();
+        db.pin_journal(e0);
         let fact = db.delete(s).unwrap();
         db.restore(s, fact.clone()).unwrap();
-        let r = db
-            .insert_into("R", vec!["r1".into(), "s1".into(), Value::Int(7)])
-            .unwrap();
-        // Failed mutations must not reach the hook.
-        assert!(db
-            .insert_into("S", vec!["s1".into(), "dup".into()])
-            .is_err());
-        let seen = hook.seen.lock().unwrap();
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen[0].0, MutationKind::Delete);
-        assert_eq!(seen[0].1, s);
-        assert_eq!(seen[0].2, e0 + 1);
-        // The delete's payload is the removed fact's values.
-        assert_eq!(seen[0].3, fact);
-        assert_eq!(seen[1].0, MutationKind::Restore);
-        assert_eq!(seen[1].3, fact);
-        assert_eq!(seen[2].0, MutationKind::Insert);
-        assert_eq!(seen[2].1, r);
-        assert_eq!(seen[2].3.get(2), &Value::Int(7));
+        db.delete(s).unwrap();
+        // Three records past a capacity of 0, all held by the pin, with
+        // their payloads.
+        let kept: Vec<(u64, Fact)> = db
+            .journal_since(e0)
+            .expect("pinned records are never discarded")
+            .map(|r| (r.epoch, Fact::clone(&r.payload)))
+            .collect();
+        let f = Fact::clone(&fact);
+        assert_eq!(
+            kept,
+            vec![(e0 + 1, f.clone()), (e0 + 2, f.clone()), (e0 + 3, f)]
+        );
+        // Moving the pin releases the older records to the capacity bound.
+        db.pin_journal(e0 + 2);
+        assert!(db.journal_since(e0).is_none());
+        assert_eq!(db.journal_since(e0 + 2).unwrap().count(), 1);
+        // Raising the capacity keeps released records again.
+        db.set_journal_capacity(8);
+        db.restore(s, fact).unwrap();
+        db.pin_journal(db.epoch());
+        assert_eq!(db.journal_since(e0 + 2).unwrap().count(), 2);
     }
 
     #[test]
-    fn clones_drop_the_durability_hook() {
+    fn clones_start_unpinned() {
         let (mut db, s) = db_with_one_s();
-        let hook = std::sync::Arc::new(RecordingHook::default());
-        db.attach_durability_hook(hook.clone()).unwrap();
+        db.set_journal_capacity(0);
+        db.pin_journal(db.epoch());
         let mut clone = db.clone();
-        assert!(clone.durability_hook().is_none());
         clone.delete(s).unwrap();
-        assert!(hook.seen.lock().unwrap().is_empty());
+        // The clone's capacity of 0 applies: nothing was kept.
+        assert!(clone.journal_since(0).is_none());
+        db.delete(s).unwrap();
+        assert_eq!(db.journal_since(db.epoch() - 1).unwrap().count(), 1);
     }
 
     #[test]

@@ -72,10 +72,6 @@ pub enum DbError {
     BadRelationId(RelationId),
     /// Text (de)serialisation failure.
     Parse(String),
-    /// A durability hook was attached to a database whose mutation journal
-    /// is disabled (`set_journal_capacity(0)`): delete records would carry
-    /// no payload, making the write-ahead log non-replayable.
-    JournalDisabled,
     /// Crash-recovery replay diverged from the journalled history (e.g. a
     /// replayed insert landed in a different slot than the log recorded).
     Replay(String),
@@ -124,10 +120,6 @@ impl fmt::Display for DbError {
                 write!(f, "relation id {:?} out of range", id)
             }
             DbError::Parse(msg) => write!(f, "parse error: {msg}"),
-            DbError::JournalDisabled => write!(
-                f,
-                "durability hook refused: the mutation journal is disabled (capacity 0)"
-            ),
             DbError::Replay(msg) => write!(f, "replay divergence: {msg}"),
         }
     }

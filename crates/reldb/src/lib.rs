@@ -29,15 +29,19 @@
 //!   **lineage id** ([`Database::db_id`]) name an immutable content
 //!   snapshot — equal pairs guarantee unchanged content;
 //! * the **mutation journal** ([`Database::journal_since`]) records *what*
-//!   changed between two epochs of one lineage, as a bounded ring of
-//!   [`MutationRecord`]s (`Insert`/`Delete`/`Restore`, per fact). A cache
-//!   that fell behind replays the records it missed and evicts only the
-//!   entries those mutations can reach; when the ring has wrapped, the
-//!   journal says so and the cache falls back to a full rebuild.
+//!   changed between two epochs of one lineage, as a bounded window of
+//!   [`MutationRecord`]s (`Insert`/`Delete`/`Restore`, per fact, each with
+//!   the complete fact). A cache that fell behind replays the records it
+//!   missed and evicts only the entries those mutations can reach; when
+//!   the window has wrapped, the journal says so and the cache falls back
+//!   to a full rebuild.
 //!
-//! `stembed-core`'s `DistCache` is the canonical consumer: it scopes each
-//! record by FK-reachability of the walk schemes it caches, which is what
-//! keeps it warm across the one-by-one insertion protocol.
+//! `stembed-core`'s `DistCache` is the canonical cache consumer: it scopes
+//! each record by FK-reachability of the walk schemes it caches, which is
+//! what keeps it warm across the one-by-one insertion protocol. The
+//! journal is also the only mutation log: `repro`'s durable pipeline
+//! [pins](Database::pin_journal) it and drains every record into its
+//! write-ahead log, and a [`DeletionJournal`] holds the same records.
 
 pub mod cascade;
 pub mod database;
@@ -49,7 +53,7 @@ pub mod text;
 pub mod value;
 
 pub use cascade::{cascade_delete, restore_journal, DeletionJournal};
-pub use database::{Database, DurabilityHook, MutationKind, MutationRecord};
+pub use database::{Database, MutationKind, MutationRecord};
 pub use error::DbError;
 pub use fact::{Fact, FactId};
 pub use schema::{Attribute, FkId, ForeignKey, RelationId, RelationSchema, Schema, SchemaBuilder};

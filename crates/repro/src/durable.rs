@@ -6,9 +6,12 @@
 //!
 //! * Every journalled database mutation — inserts, deletes, restores,
 //!   **including every member of a cascade group** — is appended to the
-//!   WAL *by the database itself* through the attached
-//!   [`stembed_wal::WalHook`], in epoch order, before the pipeline
-//!   regains control.
+//!   WAL by [`DurablePipeline::mutate`] when its closure returns: one
+//!   `Mutation` frame per record of the database's own journal since the
+//!   last logged epoch, in epoch order. The pipeline
+//!   [pins](reldb::Database::pin_journal) the journal at that epoch, so
+//!   no record is discarded before it is logged, however many mutations
+//!   one closure makes.
 //! * Every completed embedding extension is appended by the pipeline as
 //!   one `Extend{seed, facts}` frame. The frame does **not** carry the
 //!   computed vectors: the workspace's determinism contract
@@ -32,12 +35,12 @@
 //!
 //! ## Crash semantics inside a process
 //!
-//! `Database::record_mutation` cannot fail, so a WAL I/O error latches
-//! inside the hook ([`stembed_wal::WalHook::check`]). The pipeline checks
-//! after every operation and surfaces the latched error; callers must
-//! treat it as a process death — drop the pipeline and `recover`.
+//! The first WAL I/O error latches inside the pipeline: nothing more is
+//! appended (the log must not skip an LSN and keep going), and that call
+//! and every later one fails with the latched error. Callers must treat
+//! it as a process death — drop the pipeline and `recover`.
 
-use reldb::{Database, FactId};
+use reldb::{Database, DbError, FactId};
 use std::sync::Arc;
 use stembed_core::embedder::{ForwardEmbedder, Node2VecEmbedder};
 use stembed_core::snapshot::{
@@ -46,8 +49,7 @@ use stembed_core::snapshot::{
 use stembed_core::TupleEmbedder;
 use stembed_wal::frame::FramePayload;
 use stembed_wal::{
-    latest_snapshot, read_wal_tail, write_snapshot, Snapshot, Vfs, WalError, WalHook, WalStats,
-    WalWriter,
+    latest_snapshot, read_wal_tail, write_snapshot, Snapshot, Vfs, WalError, WalStats, WalWriter,
 };
 
 /// Default fsync batching: frames per fsync. One fsync per cascade-sized
@@ -63,7 +65,11 @@ pub struct DurablePipeline {
     vfs: Arc<dyn Vfs>,
     dir: String,
     sync_every: usize,
-    hook: Arc<WalHook>,
+    wal: WalWriter,
+    /// First WAL error. Latched: once set, nothing more is written.
+    poisoned: Option<WalError>,
+    /// Epoch of the newest mutation in the log; the journal is pinned here.
+    logged_epoch: u64,
     db: Database,
     fwd: ForwardEmbedder,
     n2v: Node2VecEmbedder,
@@ -71,34 +77,45 @@ pub struct DurablePipeline {
 
 impl DurablePipeline {
     /// Put a freshly trained pipeline under WAL protection: open the log
-    /// in `dir` (which must be empty of segments), attach the durability
-    /// hook, and commit the initial snapshot so recovery has a floor.
-    ///
-    /// The database must have journalling enabled
-    /// ([`reldb::DbError::JournalDisabled`] otherwise — an unjournalled
-    /// database would silently skip the WAL for every mutation).
+    /// in `dir` (which must be empty of segments), pin the database's
+    /// journal, and commit the initial snapshot so recovery has a floor.
     pub fn create(
         vfs: Arc<dyn Vfs>,
         dir: &str,
-        mut db: Database,
+        db: Database,
         fwd: ForwardEmbedder,
         n2v: Node2VecEmbedder,
         sync_every: usize,
     ) -> Result<Self, WalError> {
-        let writer = WalWriter::open(vfs.clone(), dir, sync_every, 0)?;
-        let hook = Arc::new(WalHook::new(writer));
-        db.attach_durability_hook(hook.clone())?;
-        let mut this = DurablePipeline {
+        let wal = WalWriter::open(vfs.clone(), dir, sync_every, 0)?;
+        let mut this = Self::assemble(vfs, dir, sync_every, wal, db, fwd, n2v);
+        this.snapshot()?;
+        Ok(this)
+    }
+
+    /// A pipeline whose log holds every mutation up to `db`'s epoch.
+    fn assemble(
+        vfs: Arc<dyn Vfs>,
+        dir: &str,
+        sync_every: usize,
+        wal: WalWriter,
+        mut db: Database,
+        fwd: ForwardEmbedder,
+        n2v: Node2VecEmbedder,
+    ) -> Self {
+        let logged_epoch = db.epoch();
+        db.pin_journal(logged_epoch);
+        DurablePipeline {
             vfs,
             dir: dir.to_string(),
             sync_every,
-            hook,
+            wal,
+            poisoned: None,
+            logged_epoch,
             db,
             fwd,
             n2v,
-        };
-        this.snapshot()?;
-        Ok(this)
+        }
     }
 
     /// The live database.
@@ -118,25 +135,71 @@ impl DurablePipeline {
 
     /// Write-side WAL counters (frames, bytes, fsyncs).
     pub fn wal_stats(&self) -> WalStats {
-        self.hook.stats()
+        self.wal.stats()
     }
 
     /// LSN of the last appended frame.
     pub fn last_lsn(&self) -> Result<u64, WalError> {
-        self.hook.last_lsn()
+        match &self.poisoned {
+            Some(e) => Err(e.clone()),
+            None => Ok(self.wal.last_lsn()),
+        }
     }
 
-    /// Run a database mutation under the WAL: the hook appends every
-    /// journalled mutation the closure performs, and any latched WAL
-    /// error surfaces here — after which the pipeline must be treated as
-    /// dead (recover from `dir`).
+    /// Run `f` on the log unless an earlier error latched; latch the error
+    /// `f` returns, if any.
+    fn with_wal<T>(
+        &mut self,
+        f: impl FnOnce(&mut WalWriter, &Database) -> Result<T, WalError>,
+    ) -> Result<T, WalError> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
+        let out = f(&mut self.wal, &self.db);
+        if let Err(e) = &out {
+            self.poisoned = Some(e.clone());
+        }
+        out
+    }
+
+    /// Run a database mutation under the WAL, then append one frame per
+    /// journal record it produced — also when `f` fails, since a failing
+    /// closure may have mutated before it failed. `f`'s own error comes
+    /// first; a WAL error surfaces here or, behind `f`'s error, at the
+    /// next call — after which the pipeline must be treated as dead
+    /// (recover from `dir`).
     pub fn mutate<T>(
         &mut self,
-        f: impl FnOnce(&mut Database) -> Result<T, reldb::DbError>,
+        f: impl FnOnce(&mut Database) -> Result<T, DbError>,
     ) -> Result<T, WalError> {
-        let out = f(&mut self.db)?;
-        self.hook.check()?;
+        let out = f(&mut self.db);
+        let logged = self.log_journal();
+        let out = out?;
+        logged?;
         Ok(out)
+    }
+
+    /// Append every journal record after `logged_epoch` and move the pin
+    /// past them.
+    fn log_journal(&mut self) -> Result<(), WalError> {
+        let since = self.logged_epoch;
+        self.with_wal(|wal, db| {
+            let records = db.journal_since(since).ok_or_else(|| {
+                WalError::Corrupt(format!("journal lost mutations after epoch {since}"))
+            })?;
+            for r in records {
+                wal.append(FramePayload::Mutation {
+                    kind: r.kind,
+                    id: r.fact,
+                    epoch: r.epoch,
+                    fact: r.payload.as_ref().clone(),
+                })?;
+            }
+            Ok(())
+        })?;
+        self.logged_epoch = self.db.epoch();
+        self.db.pin_journal(self.logged_epoch);
+        Ok(())
     }
 
     /// Extend both embedders to `facts` (which must already be live) and
@@ -151,14 +214,15 @@ impl DurablePipeline {
         self.n2v
             .extend(&self.db, facts, seed)
             .map_err(|e| WalError::Corrupt(format!("node2vec extend: {e}")))?;
-        self.hook.append_extend(seed, facts.to_vec())?;
+        let facts = facts.to_vec();
+        self.with_wal(|wal, _| wal.append(FramePayload::Extend { seed, facts }))?;
         Ok(())
     }
 
     /// Force every appended frame durable (an explicit fsync outside the
     /// batching cadence).
-    pub fn sync(&self) -> Result<(), WalError> {
-        self.hook.sync()
+    pub fn sync(&mut self) -> Result<(), WalError> {
+        self.with_wal(|wal, _| wal.sync())
     }
 
     /// Commit a snapshot of the complete pipeline state and rotate the
@@ -166,7 +230,12 @@ impl DurablePipeline {
     /// write it atomically (tmp → fsync → rename → dir fsync), then drop
     /// the now-superseded segments. Returns the snapshot LSN.
     pub fn snapshot(&mut self) -> Result<u64, WalError> {
-        let cursor = self.hook.snapshot_cursor()?;
+        // The cursor is the last appended LSN, synced first: a snapshot
+        // must never point past the durable tail.
+        let cursor = self.with_wal(|wal, _| {
+            wal.sync()?;
+            Ok(wal.last_lsn())
+        })?;
         let snap = Snapshot::capture(
             &self.db,
             cursor,
@@ -176,7 +245,7 @@ impl DurablePipeline {
             ],
         );
         write_snapshot(self.vfs.as_ref(), &self.dir, &snap)?;
-        self.hook.rotate(cursor)?;
+        self.with_wal(|wal, _| wal.rotate(cursor))?;
         Ok(cursor)
     }
 
@@ -233,18 +302,8 @@ impl DurablePipeline {
         // Reopen the log — `open` rescans the newest segment, truncates
         // any torn tail, and resumes the LSN sequence after the last
         // intact frame.
-        let writer = WalWriter::open(vfs.clone(), dir, sync_every, 0)?;
-        let hook = Arc::new(WalHook::new(writer));
-        db.attach_durability_hook(hook.clone())?;
-        Ok(DurablePipeline {
-            vfs,
-            dir: dir.to_string(),
-            sync_every,
-            hook,
-            db,
-            fwd,
-            n2v,
-        })
+        let wal = WalWriter::open(vfs.clone(), dir, sync_every, 0)?;
+        Ok(Self::assemble(vfs, dir, sync_every, wal, db, fwd, n2v))
     }
 
     /// Canonical byte serialization of the complete logical state —

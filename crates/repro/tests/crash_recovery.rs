@@ -23,7 +23,9 @@
 //! Every crash is followed by *two* recoveries: both must succeed and
 //! yield identical bytes (recovery is deterministic and non-destructive).
 
-use reldb::{cascade_delete, movies, restore_journal, Database, DeletionJournal};
+use reldb::{
+    cascade_delete, movies, restore_journal, Database, DbError, DeletionJournal, MutationKind,
+};
 use repro::durable::DurablePipeline;
 use std::sync::Arc;
 use stembed_core::embedder::{ForwardEmbedder, Node2VecEmbedder};
@@ -278,9 +280,9 @@ fn every_crash_point_recovers_byte_identical_state() {
     }
 }
 
-/// A crash that fires *inside* `Database::record_mutation` (where errors
-/// cannot surface) must poison the hook so the pipeline's next operation
-/// reports the death instead of silently continuing with a skipped LSN.
+/// A WAL failure while a mutation's frames are appended must poison the
+/// pipeline, so it reports the death now and on every later call instead
+/// of silently continuing with a skipped LSN.
 #[test]
 fn wal_failure_inside_a_mutation_surfaces_at_the_pipeline() {
     let fx = fixture();
@@ -297,7 +299,7 @@ fn wal_failure_inside_a_mutation_surfaces_at_the_pipeline() {
     .unwrap();
 
     // Arm the next mutating I/O op: the append for the first restored
-    // fact dies, the hook latches, and `mutate` reports it.
+    // fact dies, the pipeline latches the error, and `mutate` reports it.
     vfs.set_fail_point(FailPoint::CrashBeforeOp(vfs.op_count()));
     let err = pipe
         .mutate(|db| restore_journal(db, &fx.journals[0]))
@@ -328,5 +330,172 @@ fn snapshot_with_only_the_old_node2vec_tag_is_corrupt() {
         Err(WalError::Corrupt(msg)) => assert!(msg.contains("node2vec"), "{msg}"),
         Err(e) => panic!("expected Corrupt, got {e:?}"),
         Ok(_) => panic!("recovered from a snapshot in the old Node2Vec layout"),
+    }
+}
+
+/// A pipeline over `db` on a fresh simulated filesystem.
+fn pipeline(fx: &Fixture, db: Database) -> (Arc<SimVfs>, DurablePipeline) {
+    let vfs = Arc::new(SimVfs::new());
+    let generic: Arc<dyn Vfs> = vfs.clone();
+    let pipe =
+        DurablePipeline::create(generic, DIR, db, fx.fwd.clone(), fx.n2v.clone(), SYNC_EVERY)
+            .unwrap();
+    (vfs, pipe)
+}
+
+/// Sync, drop the pipeline, recover from its directory and require the
+/// recovered state to equal the live one byte for byte. Returns every
+/// frame the log holds past the initial snapshot.
+fn sync_and_recover(vfs: &Arc<SimVfs>, mut pipe: DurablePipeline) -> Vec<Frame> {
+    pipe.sync().unwrap();
+    let live = pipe.state_bytes();
+    let lsn = pipe.last_lsn().unwrap();
+    drop(pipe);
+    let generic: Arc<dyn Vfs> = vfs.clone();
+    let recovered = DurablePipeline::recover(generic, DIR, SYNC_EVERY).unwrap();
+    assert_eq!(recovered.last_lsn().unwrap(), lsn);
+    assert_eq!(
+        recovered.state_bytes(),
+        live,
+        "recovery diverges from the live run"
+    );
+    read_wal_tail(vfs.as_ref(), DIR, 0).unwrap()
+}
+
+/// A cascade under `mutate` logs one frame per removed fact, in removal
+/// order, with consecutive epochs and the complete removed fact.
+#[test]
+fn a_cascade_under_mutate_logs_one_frame_per_removed_fact() {
+    let fx = fixture();
+    let (vfs, mut pipe) = pipeline(&fx, fx.db.clone());
+    let epoch0 = pipe.db().epoch();
+    let studios = pipe.db().schema().relation_id("STUDIOS").unwrap();
+    let victim = pipe.db().fact_ids(studios)[0];
+    let journal = pipe.mutate(|db| cascade_delete(db, victim, true)).unwrap();
+    assert!(journal.len() > 1, "cascade must touch dependents");
+
+    let frames = sync_and_recover(&vfs, pipe);
+    assert_eq!(frames.len(), journal.len());
+    for (i, (frame, record)) in frames.iter().zip(&journal.entries).enumerate() {
+        match &frame.payload {
+            FramePayload::Mutation {
+                kind,
+                id,
+                epoch,
+                fact,
+            } => {
+                assert_eq!(*kind, MutationKind::Delete);
+                assert_eq!(*id, record.fact);
+                assert_eq!(*epoch, epoch0 + 1 + i as u64);
+                assert_eq!(fact, record.payload.as_ref());
+            }
+            other => panic!("expected a mutation frame, got {other:?}"),
+        }
+    }
+}
+
+/// An `Extend` frame follows the mutation frames of the restore it
+/// extends to, in LSN order.
+#[test]
+fn an_extend_frame_follows_the_mutation_frames_in_lsn_order() {
+    let fx = fixture();
+    let (vfs, mut pipe) = pipeline(&fx, fx.db.clone());
+    let journal = &fx.journals[0];
+    let restored = pipe.mutate(|db| restore_journal(db, journal)).unwrap();
+    pipe.extend(&restored, 42).unwrap();
+    assert_eq!(pipe.last_lsn().unwrap(), journal.len() as u64 + 1);
+
+    let frames = sync_and_recover(&vfs, pipe);
+    assert_eq!(frames.len(), journal.len() + 1);
+    for (i, frame) in frames.iter().enumerate() {
+        assert_eq!(frame.lsn, i as u64 + 1);
+    }
+    let (last, mutations) = frames.split_last().unwrap();
+    assert!(mutations
+        .iter()
+        .all(|f| matches!(f.payload, FramePayload::Mutation { .. })));
+    assert!(matches!(
+        &last.payload,
+        FramePayload::Extend { seed: 42, facts } if facts == &restored
+    ));
+}
+
+/// One `mutate` that makes more mutations than the journal's capacity
+/// still logs every one of them: the pin holds the records until they are
+/// written.
+#[test]
+fn a_mutate_past_the_journal_capacity_logs_every_mutation() {
+    let fx = fixture();
+    let mut db = fx.db.clone();
+    db.set_journal_capacity(2);
+    let (vfs, mut pipe) = pipeline(&fx, db);
+    let journal = &fx.journals[0];
+    assert!(journal.len() >= 3, "the restore must exceed the capacity");
+    pipe.mutate(|db| restore_journal(db, journal)).unwrap();
+    let cast = pipe.db().schema().relation_id("COLLABORATIONS").unwrap();
+    let victim = pipe.db().fact_ids(cast)[0];
+    let cascade = pipe.mutate(|db| cascade_delete(db, victim, true)).unwrap();
+    assert!(cascade.len() >= 3, "the cascade must exceed the capacity");
+
+    let frames = sync_and_recover(&vfs, pipe);
+    assert_eq!(frames.len(), journal.len() + cascade.len());
+}
+
+/// A closure that mutates and then fails still logs the mutations it
+/// made, so the log matches the database it leaves behind.
+#[test]
+fn a_failing_closure_still_logs_its_mutations() {
+    let fx = fixture();
+    let (vfs, mut pipe) = pipeline(&fx, fx.db.clone());
+    let journal = &fx.journals[0];
+    let err = pipe
+        .mutate(|db| {
+            restore_journal(db, journal)?;
+            Err::<(), _>(DbError::UnknownFact)
+        })
+        .unwrap_err();
+    assert_eq!(err, WalError::Db(DbError::UnknownFact));
+
+    let frames = sync_and_recover(&vfs, pipe);
+    assert_eq!(frames.len(), journal.len());
+}
+
+/// A database whose journal keeps nothing on its own (capacity 0) is made
+/// durable all the same: the pipeline's pin keeps what it has to log.
+#[test]
+fn a_capacity_zero_database_is_durable() {
+    let fx = fixture();
+    let mut db = fx.db.clone();
+    db.set_journal_capacity(0);
+    let (vfs, mut pipe) = pipeline(&fx, db);
+    let journal = &fx.journals[0];
+    let restored = pipe.mutate(|db| restore_journal(db, journal)).unwrap();
+    pipe.extend(&restored, 7).unwrap();
+
+    let frames = sync_and_recover(&vfs, pipe);
+    assert_eq!(frames.len(), journal.len() + 1);
+}
+
+/// A snapshot whose FoRWaRD state sits only under the pre-`.v2` tag was
+/// written in a layout this build no longer reads: recovery must refuse it
+/// as corrupt rather than decode the blob with the wrong config layout.
+#[test]
+fn snapshot_with_only_the_old_forward_tag_is_corrupt() {
+    let fx = fixture();
+    let vfs = Arc::new(SimVfs::new());
+    let old = Snapshot::capture(
+        &fx.db,
+        0,
+        vec![
+            ("forward".to_string(), encode_forward(&fx.fwd)),
+            (NODE2VEC_BLOB.to_string(), encode_node2vec(&fx.n2v)),
+        ],
+    );
+    write_snapshot(vfs.as_ref(), DIR, &old).unwrap();
+    let generic: Arc<dyn Vfs> = vfs.clone();
+    match DurablePipeline::recover(generic, DIR, SYNC_EVERY) {
+        Err(WalError::Corrupt(msg)) => assert!(msg.contains("forward"), "{msg}"),
+        Err(e) => panic!("expected Corrupt, got {e:?}"),
+        Ok(_) => panic!("recovered from a snapshot in the old FoRWaRD layout"),
     }
 }

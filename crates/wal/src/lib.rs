@@ -1,8 +1,7 @@
 //! # stembed-wal — durability for the embedding workspace
 //!
-//! Turns `reldb`'s bounded mutation journal into real durability
-//! (ROADMAP item 2): an **append-only write-ahead log** of
-//! [`reldb::MutationRecord`]s, **atomic snapshots** of database plus
+//! Turns `reldb`'s mutation journal into real durability: an
+//! **append-only write-ahead log** of [`reldb::MutationRecord`]s, **atomic snapshots** of database plus
 //! embedding state, and **deterministic crash recovery** that replays the
 //! WAL tail onto the newest valid snapshot. The workspace's determinism
 //! contract (bit-identical results at any shard count, retained≡fresh,
@@ -28,28 +27,26 @@
 //!   segment rotation at snapshots, and the multi-segment tail reader;
 //! * [`snapshot`] — the snapshot container (schema + slot-exact facts +
 //!   opaque embedding blobs) and its write-tmp → fsync → rename → fsync-dir
-//!   atomicity protocol;
-//! * [`hook`] — [`WalHook`], the [`reldb::DurabilityHook`] implementation
-//!   gluing the log under a live [`reldb::Database`].
+//!   atomicity protocol.
 //!
 //! What this crate deliberately does **not** know about: embedding
-//! internals. Snapshots carry embedding state as tagged opaque byte blobs;
-//! `stembed-core::snapshot` owns their encoding, `repro::durable` owns the
-//! end-to-end pipeline and `recover()`.
+//! internals, and when mutations happen. Snapshots carry embedding state
+//! as tagged opaque byte blobs; `stembed-core::snapshot` owns their
+//! encoding. `repro::durable` owns the end-to-end pipeline: it drains the
+//! pinned database journal into a [`WalWriter`] after each batch of
+//! mutations, and owns `recover()`.
 
 pub mod codec;
 pub mod crc;
 pub mod frame;
-pub mod hook;
 pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
 pub use frame::{Frame, FramePayload};
-pub use hook::{WalHook, WalStats};
 pub use snapshot::{latest_snapshot, write_snapshot, Snapshot};
 pub use vfs::{FailPoint, SimVfs, StdVfs, Vfs, WalFile};
-pub use wal::{read_wal_tail, segment_name, WalWriter};
+pub use wal::{read_wal_tail, segment_name, WalWriter, WalWriterStats as WalStats};
 
 use std::fmt;
 

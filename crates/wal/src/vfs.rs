@@ -304,7 +304,7 @@ impl SimVfs {
     ///
     /// Propagates mutex poisoning. A panic while holding the image lock
     /// leaves the simulated machine half-written; under the durability
-    /// layer's poisoned-hook discipline that is process death, and every
+    /// layer's poisoned-WAL discipline that is process death, and every
     /// accessor dying with it is exactly the semantics the fault-injection
     /// sweeps rely on.
     fn lock_state(&self) -> std::sync::MutexGuard<'_, SimState> {

@@ -251,16 +251,6 @@ pub fn read_wal_tail(vfs: &dyn Vfs, dir: &str, since_lsn: u64) -> Result<Vec<Fra
     Ok(frames)
 }
 
-/// Convenience for logging a mutation (the [`crate::WalHook`] call path).
-pub fn mutation_payload(record: &reldb::MutationRecord, payload: &reldb::Fact) -> FramePayload {
-    FramePayload::Mutation {
-        kind: record.kind,
-        id: record.fact,
-        epoch: record.epoch,
-        fact: payload.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -123,8 +123,8 @@ impl Rule {
             }
             Rule::UnjournalledMutation => {
                 "every fact-storage write must reach the journal: call `record_mutation` \
-                 (or delegate to insert/restore/delete) so the epoch, the durability hook, \
-                 and cache invalidation observe the mutation"
+                 (or delegate to insert/restore/delete) so the epoch, cache invalidation, \
+                 and the write-ahead log that drains the journal observe the mutation"
             }
             Rule::ManualFloatAccumulation => {
                 "accumulating floats over a hash-ordered source reassociates per run; \
@@ -133,7 +133,7 @@ impl Rule {
             }
             Rule::PanicPath => {
                 "document the contract: a `# Panics` doc section on the enclosing fn or a \
-                 `// PANICS:` comment at the site (poisoned-hook discipline makes stray \
+                 `// PANICS:` comment at the site (poisoned-WAL discipline makes stray \
                  panics unrecoverable, not unsound); literal indexing is accepted when \
                  the receiver is a fixed-size array provably long enough"
             }
