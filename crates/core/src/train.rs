@@ -17,6 +17,36 @@
 //! The symmetrised `Ψ` update keeps every `ψ(s,A)` exactly symmetric
 //! throughout training (an invariant the tests assert).
 //!
+//! ## The per-sample step
+//!
+//! Under pure SGD (`batch_size: 1`, the [`ForwardConfig::small`] and
+//! experiment `quick` configurations) the step runs once per sample, so it
+//! is written to allocate nothing and to dispatch nothing:
+//!
+//! * `Ψϕ(f′)`, `Ψϕ(f)` and `e` are computed into scratch buffers owned by
+//!   the epoch, then `ψ` is updated **in place, row by row** with the
+//!   rank-2 gradient and `ϕ(f)`, `ϕ(f′)` with theirs — no gradient maps,
+//!   no zeroed `d×d` gradient matrix, no `matvec` vectors.
+//! * The epoch loop is monomorphised over a [`Kernels`] family and over
+//!   the dimension (`32` as a compile-time constant, anything else read
+//!   at run time). [`kernel::active_path`] is matched once per epoch; the AVX2
+//!   instance runs inside one `#[target_feature(enable = "avx2")]`
+//!   wrapper, so the kernels inline into the sample loop instead of
+//!   crossing a dispatch and a call boundary per row (the pattern of
+//!   `SgnsModel::train`).
+//!
+//! Larger batches evaluate every sample through the **same** routines
+//! (`sample_error`, `add_psi_grad_row`) but accumulate the gradient instead
+//! of applying it — there is one gradient formula, not two. Their chunks
+//! may run on worker threads, outside the epoch's `#[target_feature]`
+//! context, so the batch path matches the kernel path once per chunk
+//! instead (`chunk_gradients`, with an AVX2 wrapper of its own). The in-place
+//! step performs exactly the IEEE operations a one-sample batch through
+//! the accumulating path does (gradients start at `0.0 + e·x`, rank-one
+//! rows with a zero coefficient are skipped, and the update scale is
+//! `−lr · inv_b`), so the output is bit-identical either way
+//! (`single_sample_step_matches_chunk_path_bitwise`).
+//!
 //! ## Parallel execution, deterministically
 //!
 //! Each minibatch's gradients are computed against the pre-batch snapshot
@@ -39,6 +69,7 @@ use crate::CoreError;
 use linalg::{vector, Matrix};
 use reldb::{Database, FactId, RelationId};
 use std::collections::BTreeMap;
+use stembed_runtime::kernel::{self, KernelPath, Kernels, ScalarKernels, WideKernels};
 use stembed_runtime::rng::DetRng;
 use stembed_runtime::{derive_seed, Runtime};
 
@@ -107,6 +138,23 @@ impl ForwardEmbedding {
         seed: u64,
         runtime: Runtime,
     ) -> Result<Self, CoreError> {
+        Self::train_with_epoch(db, rel, config, seed, runtime, Self::sgd_epoch)
+    }
+
+    /// Initialise `ϕ`/`ψ` and train, running each epoch's shuffled samples
+    /// through `epoch` (which returns their summed squared error). Tests
+    /// pass a reference epoch here to check [`Self::sgd_epoch`] against it.
+    fn train_with_epoch<E>(
+        db: &Database,
+        rel: RelationId,
+        config: &ForwardConfig,
+        seed: u64,
+        runtime: Runtime,
+        epoch: E,
+    ) -> Result<Self, CoreError>
+    where
+        E: FnMut(&mut Self, &[TrainingSample], f64) -> f64,
+    {
         let facts = db.fact_ids(rel);
         if facts.len() < 2 {
             return Err(CoreError::NotEnoughFacts {
@@ -157,17 +205,27 @@ impl ForwardEmbedding {
             epoch_losses: Vec::new(),
             dist_cache,
         };
-        this.run_sgd(db, &facts, derive_seed(seed, SAMPLE_STREAM), &mut rng)?;
+        this.run_sgd(
+            db,
+            &facts,
+            derive_seed(seed, SAMPLE_STREAM),
+            &mut rng,
+            epoch,
+        )?;
         Ok(this)
     }
 
-    fn run_sgd(
+    fn run_sgd<E>(
         &mut self,
         db: &Database,
         facts: &[FactId],
         sample_seed: u64,
         rng: &mut DetRng,
-    ) -> Result<(), CoreError> {
+        mut epoch_step: E,
+    ) -> Result<(), CoreError>
+    where
+        E: FnMut(&mut Self, &[TrainingSample], f64) -> f64,
+    {
         let runtime = self.runtime;
         let index = EligibilityIndex::probe(
             db,
@@ -205,15 +263,129 @@ impl ForwardEmbedding {
             }
             let lr = self.config.learning_rate
                 * (1.0 - epoch as f64 / self.config.epochs as f64).max(0.1);
-            let batch = self.config.batch_size.max(1);
-            let mut loss_acc = 0.0;
-            for chunk in samples.chunks(batch) {
-                loss_acc += self.minibatch_step(chunk, lr);
-            }
+            let loss_acc = epoch_step(self, &samples, lr);
             self.epoch_losses
                 .push(loss_acc / samples.len().max(1) as f64);
         }
         Ok(())
+    }
+
+    /// One epoch of SGD over `samples` (already shuffled) at learning rate
+    /// `lr`, in batches of `config.batch_size`; returns the summed squared
+    /// error (pre-update). Picks the dimension specialisation and the
+    /// kernel family **once** for the whole epoch (see the module docs).
+    fn sgd_epoch(&mut self, samples: &[TrainingSample], lr: f64) -> f64 {
+        match self.dim {
+            32 => self.sgd_epoch_path::<32>(samples, lr),
+            _ => self.sgd_epoch_path::<0>(samples, lr),
+        }
+    }
+
+    /// Second dispatch level of [`Self::sgd_epoch`]: the kernel family.
+    fn sgd_epoch_path<const DIM: usize>(&mut self, samples: &[TrainingSample], lr: f64) -> f64 {
+        match kernel::active_path() {
+            KernelPath::Scalar => self.sgd_epoch_with::<ScalarKernels, DIM>(samples, lr),
+            KernelPath::Wide => self.sgd_epoch_with::<WideKernels, DIM>(samples, lr),
+            KernelPath::Avx2 => {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Avx2` is only selected after runtime AVX2
+                // detection (see `KernelPath::from_env`).
+                unsafe {
+                    self.sgd_epoch_avx2::<DIM>(samples, lr)
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                self.sgd_epoch_with::<WideKernels, DIM>(samples, lr)
+            }
+        }
+    }
+
+    /// The wide epoch body compiled with AVX2 enabled: the sample loop and
+    /// the `#[inline(always)]` kernels inline into this function and
+    /// vectorise at 256 bits. Same IEEE op sequence as every other
+    /// instantiation.
+    ///
+    /// Safety: the caller must ensure the CPU supports AVX2 (runtime
+    /// detection via `KernelPath::from_env` or an explicit
+    /// `is_x86_feature_detected!` check).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sgd_epoch_avx2<const DIM: usize>(
+        &mut self,
+        samples: &[TrainingSample],
+        lr: f64,
+    ) -> f64 {
+        self.sgd_epoch_with::<WideKernels, DIM>(samples, lr)
+    }
+
+    /// The epoch body, generic over the kernel family and the (optionally
+    /// const, `0` = read `self.dim`) dimension.
+    #[inline(always)]
+    fn sgd_epoch_with<K: Kernels, const DIM: usize>(
+        &mut self,
+        samples: &[TrainingSample],
+        lr: f64,
+    ) -> f64 {
+        let batch = self.config.batch_size.max(1);
+        let mut scratch = StepScratch::new(self.dim);
+        let mut loss_acc = 0.0;
+        for chunk in samples.chunks(batch) {
+            loss_acc += match chunk {
+                [s] => self.sgd_step::<K, DIM>(s, lr, &mut scratch),
+                _ => self.minibatch_step(chunk, lr),
+            };
+        }
+        loss_acc
+    }
+
+    /// One single-sample SGD step, applied in place: the update a
+    /// one-sample [`Self::minibatch_step`] makes, bit for bit, without its
+    /// gradient maps and matrices. `ψ` is updated row by row before `ϕ`,
+    /// since its gradient reads the pre-step `ϕ(f)`, `ϕ(f′)`; the `ϕ`
+    /// gradients only read `Ψϕ(f′)`, `Ψϕ(f)`, computed up front. Returns
+    /// the squared error (pre-update).
+    ///
+    /// # Panics
+    ///
+    /// If the sample references a fact or target absent from `ϕ`/`ψ` —
+    /// the sampler draws from the fact set and targets the model was
+    /// initialised on.
+    #[inline(always)]
+    fn sgd_step<K: Kernels, const DIM: usize>(
+        &mut self,
+        s: &TrainingSample,
+        lr: f64,
+        scratch: &mut StepScratch,
+    ) -> f64 {
+        let d = if DIM > 0 { DIM } else { self.dim };
+        let StepScratch {
+            psi_fp,
+            psi_f,
+            grad,
+        } = scratch;
+        // `−lr · inv_b` of a one-sample batch (inv_b = 1, an exact factor).
+        let alpha = -lr;
+        let phi_f = &self.phi[&s.f];
+        let phi_fp = &self.phi[&s.f_prime];
+        let psi = &mut self.psi[s.target];
+        let e = sample_error::<K>(psi, phi_f, phi_fp, s.y, psi_fp, psi_f);
+        let (phi_f, phi_fp) = (&phi_f[..d], &phi_fp[..d]);
+        let (psi_fp, psi_f, grad) = (&psi_fp[..d], &psi_f[..d], &mut grad[..d]);
+        let half_e = e * 0.5;
+        for r in 0..d {
+            grad.fill(0.0);
+            add_psi_grad_row::<K>(half_e, phi_f, phi_fp, r, grad);
+            K::axpy(alpha, grad, &mut psi.row_mut(r)[..d]);
+        }
+        // The sampler never pairs a fact with itself, so the two ϕ
+        // gradients land on distinct vectors.
+        debug_assert_ne!(s.f, s.f_prime);
+        for (f, psi_x) in [(s.f, psi_fp), (s.f_prime, psi_f)] {
+            grad.fill(0.0);
+            K::axpy(e, psi_x, grad);
+            let v = self.phi.get_mut(&f).expect("sampled facts are embedded");
+            K::axpy(alpha, grad, &mut v[..d]);
+        }
+        e * e
     }
 
     /// One minibatch step (paper Table II: batch size 50,000): gradients of
@@ -233,11 +405,10 @@ impl ForwardEmbedding {
     /// shape disagrees — both would mean the sampler and the model went
     /// out of sync, a state no update should be applied from.
     fn minibatch_step(&mut self, batch: &[TrainingSample], lr: f64) -> f64 {
-        let dim = self.dim;
         let inv_b = 1.0 / batch.len() as f64;
-        // Fast path for batches within one chunk (e.g. the pure-SGD
-        // configs with batch_size 1): the single chunk's accumulators *are*
-        // the merge result, bit for bit — skip the runtime and the re-merge.
+        // Fast path for batches within one chunk: the single chunk's
+        // accumulators *are* the merge result, bit for bit — skip the
+        // runtime and the re-merge.
         let merged = if batch.len() <= GRAD_CHUNK {
             self.chunk_gradients(batch)
         } else {
@@ -251,17 +422,47 @@ impl ForwardEmbedding {
             phi_grad,
             psi_grad,
         } = merged;
+        let alpha = -lr * inv_b;
         for (f, grad) in phi_grad {
             let v = self.phi.get_mut(&f).expect("accumulated facts exist");
-            debug_assert_eq!(grad.len(), dim);
-            vector::axpy(-lr * inv_b, &grad, v);
+            vector::axpy(alpha, &grad, v);
         }
         for (t, grad) in psi_grad {
             self.psi[t]
-                .add_scaled(-lr * inv_b, &grad)
+                .add_scaled(alpha, &grad)
                 .expect("gradient shape matches ψ");
         }
         loss
+    }
+
+    /// [`Self::chunk_gradients_with`] on the active kernel family: the batch
+    /// path dispatches once per chunk of up to [`GRAD_CHUNK`] samples, on
+    /// whichever shard runs it.
+    fn chunk_gradients(&self, chunk: &[TrainingSample]) -> ChunkGradients {
+        match kernel::active_path() {
+            KernelPath::Scalar => self.chunk_gradients_with::<ScalarKernels>(chunk),
+            KernelPath::Wide => self.chunk_gradients_with::<WideKernels>(chunk),
+            KernelPath::Avx2 => {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Avx2` is only selected after runtime AVX2
+                // detection (see `KernelPath::from_env`).
+                unsafe {
+                    self.chunk_gradients_avx2(chunk)
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                self.chunk_gradients_with::<WideKernels>(chunk)
+            }
+        }
+    }
+
+    /// [`Self::chunk_gradients_with`] compiled with AVX2 enabled (see
+    /// [`Self::sgd_epoch_avx2`]).
+    ///
+    /// Safety: the caller must ensure the CPU supports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn chunk_gradients_avx2(&self, chunk: &[TrainingSample]) -> ChunkGradients {
+        self.chunk_gradients_with::<WideKernels>(chunk)
     }
 
     /// Gradient accumulators of one fixed-size sample chunk, evaluated
@@ -270,38 +471,44 @@ impl ForwardEmbedding {
     ///
     /// # Panics
     ///
-    /// If a sample references an embedding of the wrong dimension — the
+    /// If a sample references a fact or target absent from `ϕ`/`ψ` — the
     /// sampler draws from the same fact set the model was initialised on.
-    fn chunk_gradients(&self, chunk: &[TrainingSample]) -> ChunkGradients {
+    #[inline(always)]
+    fn chunk_gradients_with<K: Kernels>(&self, chunk: &[TrainingSample]) -> ChunkGradients {
         let dim = self.dim;
+        let mut scratch = StepScratch::new(dim);
         let mut phi_grad: BTreeMap<FactId, Vec<f64>> = BTreeMap::new();
         let mut psi_grad: BTreeMap<usize, Matrix> = BTreeMap::new();
         let mut loss = 0.0;
         for s in chunk {
-            let psi = &self.psi[s.target];
             let phi_f = &self.phi[&s.f];
             let phi_fp = &self.phi[&s.f_prime];
-            let psi_fp = psi.matvec(phi_fp).expect("dims agree");
-            let psi_f = psi.matvec(phi_f).expect("dims agree");
-            let pred = vector::dot(phi_f, &psi_fp);
-            let e = pred - s.y;
+            let e = sample_error::<K>(
+                &self.psi[s.target],
+                phi_f,
+                phi_fp,
+                s.y,
+                &mut scratch.psi_fp,
+                &mut scratch.psi_f,
+            );
             loss += e * e;
-            vector::axpy(
+            K::axpy(
                 e,
-                &psi_fp,
+                &scratch.psi_fp,
                 phi_grad.entry(s.f).or_insert_with(|| vec![0.0; dim]),
             );
-            vector::axpy(
+            K::axpy(
                 e,
-                &psi_f,
+                &scratch.psi_f,
                 phi_grad.entry(s.f_prime).or_insert_with(|| vec![0.0; dim]),
             );
             let g = psi_grad
                 .entry(s.target)
                 .or_insert_with(|| Matrix::zeros(dim, dim));
-            // Symmetrised ψ gradient e·½(ϕϕ′ᵀ + ϕ′ϕᵀ).
-            g.rank_one_update(e * 0.5, phi_f, phi_fp);
-            g.rank_one_update(e * 0.5, phi_fp, phi_f);
+            let half_e = e * 0.5;
+            for r in 0..dim {
+                add_psi_grad_row::<K>(half_e, phi_f, phi_fp, r, g.row_mut(r));
+            }
         }
         ChunkGradients {
             loss,
@@ -486,7 +693,73 @@ impl ForwardEmbedding {
     }
 }
 
-/// Chunk-local gradient accumulators (see [`ForwardEmbedding::chunk_gradients`]).
+/// Per-sample buffers of the SGD step, allocated once per epoch (or
+/// chunk): `Ψϕ(f′)`, `Ψϕ(f)` and one gradient row.
+struct StepScratch {
+    psi_fp: Vec<f64>,
+    psi_f: Vec<f64>,
+    grad: Vec<f64>,
+}
+
+impl StepScratch {
+    fn new(dim: usize) -> Self {
+        StepScratch {
+            psi_fp: vec![0.0; dim],
+            psi_f: vec![0.0; dim],
+            grad: vec![0.0; dim],
+        }
+    }
+}
+
+/// Forward pass of one sample: writes `Ψϕ(f′)` and `Ψϕ(f)` into
+/// `psi_fp[..d]` and `psi_f[..d]` (`d = ϕ(f).len()`), and returns the
+/// prediction error `e = ϕ(f)ᵀ Ψ ϕ(f′) − y`. Both SGD paths evaluate
+/// samples through here.
+///
+/// The dots run over run-time-length slices on purpose: at a compile-time
+/// length LLVM unrolls the fixed-lane loop of `dot` completely and leaves
+/// it scalar, while the loop form vectorises.
+#[inline(always)]
+fn sample_error<K: Kernels>(
+    psi: &Matrix,
+    phi_f: &[f64],
+    phi_fp: &[f64],
+    y: f64,
+    psi_fp: &mut [f64],
+    psi_f: &mut [f64],
+) -> f64 {
+    let d = phi_f.len();
+    for r in 0..d {
+        let row = psi.row(r);
+        psi_fp[r] = K::dot(row, phi_fp);
+        psi_f[r] = K::dot(row, phi_f);
+    }
+    K::dot(phi_f, &psi_fp[..d]) - y
+}
+
+/// Adds row `r` of one sample's symmetrised `ψ` gradient,
+/// `e·½(ϕ(f)[r]·ϕ(f′) + ϕ(f′)[r]·ϕ(f))`, to `acc`, one rank-one term at a
+/// time. A term whose row coefficient `ϕ[r]` is exactly zero is skipped
+/// (the operation sequence the accumulating path has always had; for
+/// finite values the skip changes no bits). Both SGD paths build their
+/// `ψ` gradients through here.
+#[inline(always)]
+fn add_psi_grad_row<K: Kernels>(
+    half_e: f64,
+    phi_f: &[f64],
+    phi_fp: &[f64],
+    r: usize,
+    acc: &mut [f64],
+) {
+    if phi_f[r] != 0.0 {
+        K::axpy(half_e * phi_f[r], phi_fp, acc);
+    }
+    if phi_fp[r] != 0.0 {
+        K::axpy(half_e * phi_fp[r], phi_f, acc);
+    }
+}
+
+/// Chunk-local gradient accumulators (see [`ForwardEmbedding::chunk_gradients_with`]).
 struct ChunkGradients {
     loss: f64,
     phi_grad: BTreeMap<FactId, Vec<f64>>,
@@ -657,6 +930,161 @@ mod tests {
                     "shards={shards}: ϕ({f}) diverged"
                 );
             }
+        }
+    }
+
+    /// Every `ϕ`/`ψ` bit of a model, for exact comparison.
+    fn state_bits(m: &ForwardEmbedding) -> (Vec<u64>, Vec<u64>) {
+        let phi = m.phi.values().flatten().map(|x| x.to_bits()).collect();
+        let psi = m
+            .psi
+            .iter()
+            .flat_map(Matrix::as_slice)
+            .map(|x| x.to_bits())
+            .collect();
+        (phi, psi)
+    }
+
+    /// An untrained movies model of dimension `dim` whose `ϕ`/`ψ` hold
+    /// random values, exact zeros of both signs, and all-zero `ψ` rows
+    /// (so `Ψϕ` has `+0.0` entries and `e·Ψϕ` signed-zero products).
+    fn scrambled_model(dim: usize, seed: u64) -> ForwardEmbedding {
+        let (db, _) = movies_database_labeled();
+        let actors = db.schema().relation_id("ACTORS").unwrap();
+        let config = ForwardConfig {
+            dim,
+            epochs: 0,
+            ..cfg()
+        };
+        let mut m =
+            ForwardEmbedding::train_with_runtime(&db, actors, &config, seed, Runtime::single())
+                .unwrap();
+        let mut rng = DetRng::seed_from_u64(seed);
+        let draw = |rng: &mut DetRng| match rng.random_range(0..10usize) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.random_range(-1.0..1.0),
+        };
+        for v in m.phi.values_mut() {
+            v.iter_mut().for_each(|x| *x = draw(&mut rng));
+        }
+        for psi in &mut m.psi {
+            for r in 0..dim {
+                let zero_row = rng.random_range(0..5usize) == 0;
+                for x in psi.row_mut(r) {
+                    *x = if zero_row { 0.0 } else { draw(&mut rng) };
+                }
+            }
+        }
+        m
+    }
+
+    type EpochFn = fn(&mut ForwardEmbedding, &[TrainingSample], f64) -> f64;
+
+    /// The in-place single-sample step, on every kernel family and
+    /// dimension instance, must leave exactly the bits (and return exactly
+    /// the loss) of `chunk_gradients` + apply on a one-sample batch.
+    #[test]
+    fn single_sample_step_matches_chunk_path_bitwise() {
+        for dim in [32usize, 7, 33] {
+            let mut paths: Vec<(&str, EpochFn)> = vec![
+                (
+                    "scalar",
+                    ForwardEmbedding::sgd_epoch_with::<ScalarKernels, 0>,
+                ),
+                ("wide", ForwardEmbedding::sgd_epoch_with::<WideKernels, 0>),
+            ];
+            if dim == 32 {
+                paths.push((
+                    "scalar/32",
+                    ForwardEmbedding::sgd_epoch_with::<ScalarKernels, 32>,
+                ));
+                paths.push((
+                    "wide/32",
+                    ForwardEmbedding::sgd_epoch_with::<WideKernels, 32>,
+                ));
+            }
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 presence checked just above.
+                paths.push(("avx2", |m, s, lr| unsafe { m.sgd_epoch_avx2::<0>(s, lr) }));
+                if dim == 32 {
+                    // SAFETY: AVX2 presence checked just above.
+                    paths.push(("avx2/32", |m, s, lr| unsafe {
+                        m.sgd_epoch_avx2::<32>(s, lr)
+                    }));
+                }
+            }
+            let model = scrambled_model(dim, 40 + dim as u64);
+            let facts: Vec<FactId> = model.embedded_facts().collect();
+            let mut rng = DetRng::seed_from_u64(dim as u64);
+            let samples: Vec<TrainingSample> = (0..60)
+                .map(|_| {
+                    let i = rng.random_range(0..facts.len());
+                    let j = (i + rng.random_range(1..facts.len())) % facts.len();
+                    let (f, f_prime) = (facts[i], facts[j]);
+                    TrainingSample {
+                        f,
+                        f_prime,
+                        target: rng.random_range(0..model.psi.len()),
+                        y: rng.random_range(-1.0..1.0),
+                    }
+                })
+                .collect();
+            for (name, epoch) in paths {
+                let mut reference = model.clone();
+                let mut fast = model.clone();
+                for (i, s) in samples.iter().enumerate() {
+                    let lr = 0.05 + 0.01 * i as f64;
+                    let want = reference.minibatch_step(std::slice::from_ref(s), lr);
+                    let got = epoch(&mut fast, std::slice::from_ref(s), lr);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name} dim {dim}: loss {i}");
+                    assert!(
+                        state_bits(&fast) == state_bits(&reference),
+                        "{name} dim {dim}: ϕ/ψ diverged at sample {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Whole `batch_size: 1` training runs take the in-place step; they
+    /// must equal, bit for bit, the same runs through the accumulating
+    /// batch path.
+    #[test]
+    fn single_sample_training_matches_chunk_path_on_movies() {
+        let (db, _) = movies_database_labeled();
+        let actors = db.schema().relation_id("ACTORS").unwrap();
+        for dim in [32usize, 8] {
+            let config = ForwardConfig {
+                dim,
+                epochs: 2,
+                batch_size: 1,
+                ..cfg()
+            };
+            let fast =
+                ForwardEmbedding::train_with_runtime(&db, actors, &config, 21, Runtime::single())
+                    .unwrap();
+            let reference = ForwardEmbedding::train_with_epoch(
+                &db,
+                actors,
+                &config,
+                21,
+                Runtime::single(),
+                |m: &mut ForwardEmbedding, samples: &[TrainingSample], lr| {
+                    let mut loss = 0.0;
+                    for s in samples {
+                        loss += m.minibatch_step(std::slice::from_ref(s), lr);
+                    }
+                    loss
+                },
+            )
+            .unwrap();
+            assert!(state_bits(&fast) == state_bits(&reference), "dim {dim}");
+            let bits = |m: &ForwardEmbedding| -> Vec<u64> {
+                m.epoch_losses().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&fast), bits(&reference), "dim {dim}: epoch losses");
         }
     }
 

@@ -437,18 +437,31 @@ impl<'db> DestinationSampler<'db> {
     ) -> Option<FactId> {
         let schema = self.db.schema();
         let mut cur = start;
+        let mut owned = Vec::new();
         for step in &scheme.steps {
             let fk = schema.foreign_key(step.fk);
             let fact = self.db.fact(cur)?;
+            let attrs = if step.forward {
+                &fk.from_attrs
+            } else {
+                &fk.to_attrs
+            };
+            // Single-attribute keys (the common case) are borrowed in
+            // place; only composite keys are projected, into one buffer
+            // reused across the walk.
+            let key: &[Value] = if let [a] = attrs.as_slice() {
+                std::slice::from_ref(fact.get(*a))
+            } else {
+                fact.project_into(attrs, &mut owned);
+                &owned
+            };
             cur = if step.forward {
                 if fact.any_null(&fk.from_attrs) {
                     return None;
                 }
-                let key = fact.project(&fk.from_attrs);
-                self.db.lookup_key(fk.to_rel, &key)?
+                self.db.lookup_key(fk.to_rel, key)?
             } else {
-                let key = fact.project(&fk.to_attrs);
-                let slots = self.db.referencing_slots(step.fk, &key);
+                let slots = self.db.referencing_slots(step.fk, key);
                 if slots.is_empty() {
                     return None;
                 }

@@ -288,19 +288,6 @@ impl Matrix {
         Ok(acc)
     }
 
-    /// Rank-one update `A ← A + alpha · x yᵀ` — the `ψ` gradient step of
-    /// FoRWaRD training.
-    pub fn rank_one_update(&mut self, alpha: f64, x: &[f64], y: &[f64]) {
-        debug_assert_eq!(x.len(), self.rows);
-        debug_assert_eq!(y.len(), self.cols);
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            vector::axpy(alpha * xr, y, self.row_mut(r));
-        }
-    }
-
     /// Element-wise `A ← A + alpha·B`.
     pub fn add_scaled(&mut self, alpha: f64, other: &Matrix) -> Result<()> {
         if self.rows != other.rows || self.cols != other.cols {
@@ -468,13 +455,6 @@ mod tests {
         let ay = a.matvec(&y).unwrap();
         let expect = x[0] * ay[0] + x[1] * ay[1];
         assert!((a.bilinear(&x, &y).unwrap() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rank_one_update_known() {
-        let mut a = Matrix::zeros(2, 2);
-        a.rank_one_update(2.0, &[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(a, Matrix::from_rows(&[vec![6.0, 8.0], vec![12.0, 16.0]]));
     }
 
     #[test]

@@ -153,14 +153,21 @@ impl ThinnedNegatives {
         };
         // Binomial pmf by the usual ratio recurrence, accumulated.
         let q = 1.0 - p;
-        let mut pmf = q.powi(negatives as i32);
-        let mut acc = pmf;
         let mut cum = Vec::with_capacity(negatives + 1);
-        cum.push(acc);
-        for k in 0..negatives {
-            pmf *= ((negatives - k) as f64 / (k + 1) as f64) * (p / q.max(f64::MIN_POSITIVE));
-            acc += pmf;
-            cum.push(acc.min(1.0));
+        if q <= 0.0 {
+            // All sampling mass is unfrozen: every draw hits, K = negatives
+            // surely. (The recurrence would compute 0 · ∞ = NaN here, and
+            // `min` would turn that into a CDF of all ones — K = 1.)
+            cum.resize(negatives + 1, 0.0);
+        } else {
+            let mut pmf = q.powi(negatives as i32);
+            let mut acc = pmf;
+            cum.push(acc);
+            for k in 0..negatives {
+                pmf *= ((negatives - k) as f64 / (k + 1) as f64) * (p / q.max(f64::MIN_POSITIVE));
+                acc += pmf;
+                cum.push(acc.min(1.0));
+            }
         }
         // Guard the tail against rounding: the last entry must catch
         // every uniform draw.
@@ -996,6 +1003,23 @@ mod tests {
         }
         // 3 unfrozen cells; generous envelope.
         assert!(chi < 20.0, "thinned hit rates off: chi-square {chi:.1}");
+    }
+
+    /// When every node with sampling mass is unfrozen (p = 1), each of
+    /// the `negatives` draws hits, so the thinned count must always be
+    /// `negatives`.
+    #[test]
+    fn thinned_negatives_with_all_mass_unfrozen_always_draw_every_negative() {
+        use stembed_runtime::stream_rng;
+        let table = NegativeTable::new(&[0, 5, 7]);
+        let negatives = 6;
+        let thin = ThinnedNegatives::build(&[true, false, false], &table, negatives);
+        assert_eq!(thin.cum.len(), negatives + 1);
+        assert!(thin.cum.iter().all(|c| !c.is_nan()));
+        let mut rng = stream_rng(0x7418, 0);
+        for _ in 0..1000 {
+            assert_eq!(thin.draw_count(&mut rng), negatives);
+        }
     }
 
     #[test]

@@ -341,14 +341,25 @@ pub fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// Wide path for [`axpy`]. Elementwise, so bit-identity to the
 /// reference needs no lane schedule — each output is one independent
 /// expression.
+///
+/// Each chunk's products are staged in a local array before `y` is
+/// touched, so all of the chunk's `x` loads precede its `y` stores. Once
+/// this body is inlined into a caller, nothing tells LLVM that `x` and
+/// `y` do not overlap; interleaved loads and stores would then have to
+/// stay scalar, while the staged form vectorises either way. The IEEE
+/// operations per element are unchanged.
 #[inline(always)]
 pub fn axpy_wide(alpha: f64, x: &[f64], y: &mut [f64]) {
     let xc = x.chunks_exact(LANES);
     let xr = xc.remainder();
     let mut yc = y.chunks_exact_mut(LANES);
     for (cy, cx) in (&mut yc).zip(xc) {
+        let mut p = [0.0f64; LANES];
         for j in 0..LANES {
-            cy[j] += alpha * cx[j];
+            p[j] = alpha * cx[j];
+        }
+        for j in 0..LANES {
+            cy[j] += p[j];
         }
     }
     for (yk, &xk) in yc.into_remainder().iter_mut().zip(xr) {
