@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbgraph::{DbGraph, WalkConfig, Walker};
 use linalg::{pinv_solve_gram, Matrix};
 use std::hint::black_box;
+use stembed_runtime::kernel::{self, KernelTask, Kernels};
 use stembed_runtime::rng::DetRng;
 
 fn bench_linalg(c: &mut Criterion) {
@@ -25,8 +26,34 @@ fn bench_linalg(c: &mut Criterion) {
     group.finish();
 }
 
+/// One f32 row operation as a kernel task, so each bench iteration goes
+/// through `kernel::dispatch` like the trainers' loops do (a dispatch per
+/// call, which the trainers amortise over a whole loop).
+enum RowOp<'a> {
+    Dot(&'a [f32], &'a [f32]),
+    Axpy(&'a [f32], &'a mut [f32]),
+    PairStep(&'a [f32], &'a mut [f32], &'a mut [f64]),
+}
+
+impl KernelTask for RowOp<'_> {
+    type Output = f64;
+    #[inline(always)]
+    fn run<K: Kernels>(self) -> f64 {
+        match self {
+            RowOp::Dot(x, y) => K::dot_f32(x, y),
+            RowOp::Axpy(x, y) => {
+                K::axpy_f32(0.01, x, y);
+                f64::from(y[0])
+            }
+            RowOp::PairStep(x, out, cgrad) => {
+                K::sgns_pair_step(0.01, x, out, cgrad);
+                cgrad[0]
+            }
+        }
+    }
+}
+
 fn bench_kernel(c: &mut Criterion) {
-    use stembed_runtime::kernel;
     let mut group = c.benchmark_group("kernel");
     // SGNS rows at the paper's dim=100.
     let d = 100usize;
@@ -35,21 +62,21 @@ fn bench_kernel(c: &mut Criterion) {
     let yf: Vec<f32> = (0..d).map(|_| rng.random_range(-1.0..1.0) as f32).collect();
     // f32 rows, f64 accumulation — the mixed-precision hot ops.
     group.bench_function("dot_f32_d64", |b| {
-        b.iter(|| black_box(kernel::dot_f32(black_box(&xf), black_box(&yf))));
+        b.iter(|| black_box(kernel::dispatch(RowOp::Dot(black_box(&xf), black_box(&yf)))));
     });
     group.bench_function("axpy_f32_d64", |b| {
         let mut out = yf.clone();
-        b.iter(|| {
-            kernel::axpy_f32(black_box(0.01), black_box(&xf), &mut out);
-            black_box(out[0])
-        });
+        b.iter(|| black_box(kernel::dispatch(RowOp::Axpy(black_box(&xf), &mut out))));
     });
     group.bench_function("sgns_pair_step", |b| {
         let mut out = yf.clone();
         let mut cgrad = vec![0.0f64; d];
         b.iter(|| {
-            kernel::sgns_pair_step(black_box(0.01), black_box(&xf), &mut out, &mut cgrad);
-            black_box(cgrad[0])
+            black_box(kernel::dispatch(RowOp::PairStep(
+                black_box(&xf),
+                &mut out,
+                &mut cgrad,
+            )))
         });
     });
     group.finish();

@@ -59,6 +59,7 @@
 //! lineage changed or the journal wrapped. Monte-Carlo estimates are
 //! never cached — they consume seeded RNG streams, and caching them would
 //! make results depend on cache history.
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod distcache;

@@ -29,18 +29,17 @@
 //!   no zeroed `d×d` gradient matrix, no `matvec` vectors.
 //! * The epoch loop is monomorphised over a [`Kernels`] family and over
 //!   the dimension (`32` as a compile-time constant, anything else read
-//!   at run time). [`kernel::active_path`] is matched once per epoch; the AVX2
-//!   instance runs inside one `#[target_feature(enable = "avx2")]`
-//!   wrapper, so the kernels inline into the sample loop instead of
-//!   crossing a dispatch and a call boundary per row (the pattern of
-//!   `SgnsModel::train`).
+//!   at run time) and runs as one [`KernelTask`] (`SgdEpoch`):
+//!   [`kernel::dispatch`] picks the kernel path once per epoch, and on the
+//!   AVX2 path the kernels inline into the sample loop instead of
+//!   crossing a dispatch and a call boundary per row.
 //!
 //! Larger batches evaluate every sample through the **same** routines
 //! (`sample_error`, `add_psi_grad_row`) but accumulate the gradient instead
 //! of applying it — there is one gradient formula, not two. Their chunks
-//! may run on worker threads, outside the epoch's `#[target_feature]`
-//! context, so the batch path matches the kernel path once per chunk
-//! instead (`chunk_gradients`, with an AVX2 wrapper of its own). The in-place
+//! may run on worker threads, so each chunk is a kernel task of its own
+//! (`ChunkGradientsTask`) and gets the active path, AVX2 included, from
+//! the same entry point. The in-place
 //! step performs exactly the IEEE operations a one-sample batch through
 //! the accumulating path does (gradients start at `0.0 + e·x`, rank-one
 //! rows with a zero coefficient are skipped, and the update scale is
@@ -69,7 +68,7 @@ use crate::CoreError;
 use linalg::{vector, Matrix};
 use reldb::{Database, FactId, RelationId};
 use std::collections::BTreeMap;
-use stembed_runtime::kernel::{self, KernelPath, Kernels, ScalarKernels, WideKernels};
+use stembed_runtime::kernel::{self, KernelTask, Kernels};
 use stembed_runtime::rng::DetRng;
 use stembed_runtime::{derive_seed, Runtime};
 
@@ -276,45 +275,17 @@ impl ForwardEmbedding {
     /// kernel family **once** for the whole epoch (see the module docs).
     fn sgd_epoch(&mut self, samples: &[TrainingSample], lr: f64) -> f64 {
         match self.dim {
-            32 => self.sgd_epoch_path::<32>(samples, lr),
-            _ => self.sgd_epoch_path::<0>(samples, lr),
+            32 => kernel::dispatch(SgdEpoch::<32> {
+                model: self,
+                samples,
+                lr,
+            }),
+            _ => kernel::dispatch(SgdEpoch::<0> {
+                model: self,
+                samples,
+                lr,
+            }),
         }
-    }
-
-    /// Second dispatch level of [`Self::sgd_epoch`]: the kernel family.
-    fn sgd_epoch_path<const DIM: usize>(&mut self, samples: &[TrainingSample], lr: f64) -> f64 {
-        match kernel::active_path() {
-            KernelPath::Scalar => self.sgd_epoch_with::<ScalarKernels, DIM>(samples, lr),
-            KernelPath::Wide => self.sgd_epoch_with::<WideKernels, DIM>(samples, lr),
-            KernelPath::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Avx2` is only selected after runtime AVX2
-                // detection (see `KernelPath::from_env`).
-                unsafe {
-                    self.sgd_epoch_avx2::<DIM>(samples, lr)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                self.sgd_epoch_with::<WideKernels, DIM>(samples, lr)
-            }
-        }
-    }
-
-    /// The wide epoch body compiled with AVX2 enabled: the sample loop and
-    /// the `#[inline(always)]` kernels inline into this function and
-    /// vectorise at 256 bits. Same IEEE op sequence as every other
-    /// instantiation.
-    ///
-    /// Safety: the caller must ensure the CPU supports AVX2 (runtime
-    /// detection via `KernelPath::from_env` or an explicit
-    /// `is_x86_feature_detected!` check).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sgd_epoch_avx2<const DIM: usize>(
-        &mut self,
-        samples: &[TrainingSample],
-        lr: f64,
-    ) -> f64 {
-        self.sgd_epoch_with::<WideKernels, DIM>(samples, lr)
     }
 
     /// The epoch body, generic over the kernel family and the (optionally
@@ -439,30 +410,7 @@ impl ForwardEmbedding {
     /// path dispatches once per chunk of up to [`GRAD_CHUNK`] samples, on
     /// whichever shard runs it.
     fn chunk_gradients(&self, chunk: &[TrainingSample]) -> ChunkGradients {
-        match kernel::active_path() {
-            KernelPath::Scalar => self.chunk_gradients_with::<ScalarKernels>(chunk),
-            KernelPath::Wide => self.chunk_gradients_with::<WideKernels>(chunk),
-            KernelPath::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Avx2` is only selected after runtime AVX2
-                // detection (see `KernelPath::from_env`).
-                unsafe {
-                    self.chunk_gradients_avx2(chunk)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                self.chunk_gradients_with::<WideKernels>(chunk)
-            }
-        }
-    }
-
-    /// [`Self::chunk_gradients_with`] compiled with AVX2 enabled (see
-    /// [`Self::sgd_epoch_avx2`]).
-    ///
-    /// Safety: the caller must ensure the CPU supports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn chunk_gradients_avx2(&self, chunk: &[TrainingSample]) -> ChunkGradients {
-        self.chunk_gradients_with::<WideKernels>(chunk)
+        kernel::dispatch(ChunkGradientsTask { model: self, chunk })
     }
 
     /// Gradient accumulators of one fixed-size sample chunk, evaluated
@@ -693,6 +641,37 @@ impl ForwardEmbedding {
     }
 }
 
+/// One epoch of [`ForwardEmbedding::sgd_epoch`] as a kernel task, at
+/// compile-time dimension `DIM` (`0`: the model's run-time dimension).
+struct SgdEpoch<'a, const DIM: usize> {
+    model: &'a mut ForwardEmbedding,
+    samples: &'a [TrainingSample],
+    lr: f64,
+}
+
+impl<const DIM: usize> KernelTask for SgdEpoch<'_, DIM> {
+    type Output = f64;
+    #[inline(always)]
+    fn run<K: Kernels>(self) -> f64 {
+        self.model.sgd_epoch_with::<K, DIM>(self.samples, self.lr)
+    }
+}
+
+/// One gradient chunk of [`ForwardEmbedding::chunk_gradients`] as a
+/// kernel task.
+struct ChunkGradientsTask<'a> {
+    model: &'a ForwardEmbedding,
+    chunk: &'a [TrainingSample],
+}
+
+impl KernelTask for ChunkGradientsTask<'_> {
+    type Output = ChunkGradients;
+    #[inline(always)]
+    fn run<K: Kernels>(self) -> ChunkGradients {
+        self.model.chunk_gradients_with::<K>(self.chunk)
+    }
+}
+
 /// Per-sample buffers of the SGD step, allocated once per epoch (or
 /// chunk): `Ψϕ(f′)`, `Ψϕ(f)` and one gradient row.
 struct StepScratch {
@@ -812,6 +791,7 @@ fn merge_chunk_gradients(partials: Vec<ChunkGradients>) -> ChunkGradients {
 mod tests {
     use super::*;
     use reldb::movies::movies_database_labeled;
+    use stembed_runtime::kernel::KernelPath;
 
     fn cfg() -> ForwardConfig {
         ForwardConfig {
@@ -979,40 +959,27 @@ mod tests {
         m
     }
 
-    type EpochFn = fn(&mut ForwardEmbedding, &[TrainingSample], f64) -> f64;
+    type EpochFn = Box<dyn Fn(&mut ForwardEmbedding, &[TrainingSample], f64) -> f64>;
 
-    /// The in-place single-sample step, on every kernel family and
+    /// One epoch on kernel path `path` at compile-time dimension `DIM`
+    /// (`0`: run time), through the kernel entry point.
+    fn epoch_on<const DIM: usize>(
+        path: KernelPath,
+    ) -> impl Fn(&mut ForwardEmbedding, &[TrainingSample], f64) -> f64 {
+        move |model, samples, lr| kernel::run_on(path, SgdEpoch::<DIM> { model, samples, lr })
+    }
+
+    /// The in-place single-sample step, on every kernel path and
     /// dimension instance, must leave exactly the bits (and return exactly
     /// the loss) of `chunk_gradients` + apply on a one-sample batch.
     #[test]
     fn single_sample_step_matches_chunk_path_bitwise() {
         for dim in [32usize, 7, 33] {
-            let mut paths: Vec<(&str, EpochFn)> = vec![
-                (
-                    "scalar",
-                    ForwardEmbedding::sgd_epoch_with::<ScalarKernels, 0>,
-                ),
-                ("wide", ForwardEmbedding::sgd_epoch_with::<WideKernels, 0>),
-            ];
-            if dim == 32 {
-                paths.push((
-                    "scalar/32",
-                    ForwardEmbedding::sgd_epoch_with::<ScalarKernels, 32>,
-                ));
-                paths.push((
-                    "wide/32",
-                    ForwardEmbedding::sgd_epoch_with::<WideKernels, 32>,
-                ));
-            }
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 presence checked just above.
-                paths.push(("avx2", |m, s, lr| unsafe { m.sgd_epoch_avx2::<0>(s, lr) }));
+            let mut paths: Vec<(String, EpochFn)> = Vec::new();
+            for &path in kernel::available_paths() {
+                paths.push((format!("{path:?}"), Box::new(epoch_on::<0>(path))));
                 if dim == 32 {
-                    // SAFETY: AVX2 presence checked just above.
-                    paths.push(("avx2/32", |m, s, lr| unsafe {
-                        m.sgd_epoch_avx2::<32>(s, lr)
-                    }));
+                    paths.push((format!("{path:?}/32"), Box::new(epoch_on::<32>(path))));
                 }
             }
             let model = scrambled_model(dim, 40 + dim as u64);
@@ -1048,9 +1015,9 @@ mod tests {
         }
     }
 
-    /// Whole `batch_size: 1` training runs take the in-place step; they
-    /// must equal, bit for bit, the same runs through the accumulating
-    /// batch path.
+    /// Whole `batch_size: 1` training runs take the in-place step; on
+    /// every kernel path they must equal, bit for bit, the same runs
+    /// through the accumulating batch path.
     #[test]
     fn single_sample_training_matches_chunk_path_on_movies() {
         let (db, _) = movies_database_labeled();
@@ -1062,15 +1029,18 @@ mod tests {
                 batch_size: 1,
                 ..cfg()
             };
-            let fast =
-                ForwardEmbedding::train_with_runtime(&db, actors, &config, 21, Runtime::single())
-                    .unwrap();
-            let reference = ForwardEmbedding::train_with_epoch(
-                &db,
-                actors,
-                &config,
-                21,
-                Runtime::single(),
+            let train = |epoch: EpochFn| {
+                ForwardEmbedding::train_with_epoch(
+                    &db,
+                    actors,
+                    &config,
+                    21,
+                    Runtime::single(),
+                    epoch,
+                )
+                .unwrap()
+            };
+            let reference = train(Box::new(
                 |m: &mut ForwardEmbedding, samples: &[TrainingSample], lr| {
                     let mut loss = 0.0;
                     for s in samples {
@@ -1078,13 +1048,26 @@ mod tests {
                     }
                     loss
                 },
-            )
-            .unwrap();
-            assert!(state_bits(&fast) == state_bits(&reference), "dim {dim}");
+            ));
             let bits = |m: &ForwardEmbedding| -> Vec<u64> {
                 m.epoch_losses().iter().map(|x| x.to_bits()).collect()
             };
-            assert_eq!(bits(&fast), bits(&reference), "dim {dim}: epoch losses");
+            for &path in kernel::available_paths() {
+                let fast = if dim == 32 {
+                    train(Box::new(epoch_on::<32>(path)))
+                } else {
+                    train(Box::new(epoch_on::<0>(path)))
+                };
+                assert!(
+                    state_bits(&fast) == state_bits(&reference),
+                    "{path:?} dim {dim}"
+                );
+                assert_eq!(
+                    bits(&fast),
+                    bits(&reference),
+                    "{path:?} dim {dim}: epoch losses"
+                );
+            }
         }
     }
 

@@ -19,6 +19,7 @@
 //! walks visited and rebuilds the table on reused storage), and the SGNS
 //! inner loop works on contiguous embedding rows with a preallocated
 //! center-gradient scratch buffer.
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod model;

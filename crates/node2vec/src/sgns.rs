@@ -28,7 +28,7 @@
 
 use crate::NegativeTable;
 use dbgraph::{NodeId, WalkCorpus};
-use stembed_runtime::kernel;
+use stembed_runtime::kernel::{self, KernelTask, Kernels};
 use stembed_runtime::rng::DetRng;
 use stembed_runtime::AliasTable;
 
@@ -318,7 +318,7 @@ impl SgnsModel {
     /// frozen. Returns the pair's BCE loss *before* the update.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn pair_grad<K: kernel::Kernels, const DIM: usize>(
+    fn pair_grad<K: Kernels, const DIM: usize>(
         &mut self,
         center: usize,
         context: usize,
@@ -340,7 +340,7 @@ impl SgnsModel {
     /// group's dots up front and feeds them through here.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn pair_grad_with<K: kernel::Kernels, const DIM: usize>(
+    fn pair_grad_with<K: Kernels, const DIM: usize>(
         &mut self,
         x: f64,
         center: usize,
@@ -415,30 +415,9 @@ impl SgnsModel {
     /// dominant saving of the dynamic continuation, where walks from new
     /// nodes traverse mostly frozen old nodes. Loss *diagnostics*
     /// ([`TrainStats`]) only cover the pairs actually computed.
-    /// Issue a prefetch for `node`'s context row (the gradient pass will
-    /// stream it shortly). Negative draws index the arenas essentially at
-    /// random, so without this every group serialises RNG → row miss →
-    /// gradient; prefetching at draw time lets the misses overlap.
-    #[inline]
-    fn prefetch_out_row(&self, node: usize) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch is a hint with no architectural effect; the
-        // address is in (or one row past) the arena allocation.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let p = self.out_vecs.as_ptr().add(node * self.dim).cast::<i8>();
-            _mm_prefetch(p, _MM_HINT_T0);
-            // Rows are ≥ 2 cache lines for dim ≥ 17; fetch the second
-            // line too and let the hardware stride prefetcher take over.
-            _mm_prefetch(p.add(64), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = node;
-    }
-
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn train_group<K: kernel::Kernels, const DIM: usize>(
+    fn train_group<K: Kernels, const DIM: usize>(
         &mut self,
         center: usize,
         context: usize,
@@ -470,7 +449,7 @@ impl SgnsModel {
                         continue;
                     }
                     negs.push(neg);
-                    self.prefetch_out_row(neg);
+                    kernel::prefetch_row(&self.out_vecs, neg * self.dim);
                 }
             }
             _ => {
@@ -481,7 +460,7 @@ impl SgnsModel {
                     }
                     if learn_center || !self.frozen[neg] {
                         negs.push(neg);
-                        self.prefetch_out_row(neg);
+                        kernel::prefetch_row(&self.out_vecs, neg * self.dim);
                     }
                 }
             }
@@ -561,17 +540,14 @@ impl SgnsModel {
     /// updates sampled from `table`. The learning rate decays linearly over
     /// the total update schedule.
     ///
-    /// Kernel dispatch is hoisted **here**, not per row operation: the
-    /// loop body is monomorphised over a [`kernel::Kernels`] family and
-    /// the [`kernel::active_path`] match happens once per `train` call.
-    /// On the AVX2 path the [`kernel::WideKernels`] instantiation is
-    /// wrapped in a `#[target_feature(enable = "avx2")]` function, so
-    /// the kernels inline into the pair loop and revectorise at 256
-    /// bits — at ~45 ns per pair, the per-call dispatch + call overhead
-    /// of the module-level kernel wrappers was a measurable slice of
-    /// the whole continuation SGD. All three instantiations execute the
-    /// same fixed-lane IEEE schedule, so outputs are bit-identical
-    /// (asserted by `train_paths_agree_bitwise`).
+    /// The whole call is one [`kernel::KernelTask`] (`Train`): the loop
+    /// body is monomorphised over a [`kernel::Kernels`] family and
+    /// [`kernel::dispatch`] picks the family once per `train` call. On the
+    /// AVX2 path the kernels inline into the pair loop and revectorise at
+    /// 256 bits — at ~45 ns per pair, a per-row-operation dispatch and
+    /// call would be a measurable slice of the whole continuation SGD. All
+    /// paths execute the same fixed-lane IEEE schedule, so outputs are
+    /// bit-identical (asserted by `train_paths_agree_bitwise`).
     #[allow(clippy::too_many_arguments)]
     pub fn train(
         &mut self,
@@ -583,97 +559,38 @@ impl SgnsModel {
         lr0: f64,
         seed: u64,
     ) -> TrainStats {
-        // Specialise the loop for the common embedding dimensions so the
-        // kernels see a compile-time trip count (fully unrolled lane
-        // loops, no remainder code). `0` is the sentinel for "read
-        // `self.dim` at runtime" — same code, generic loops.
+        let args = TrainArgs {
+            corpus,
+            table,
+            window,
+            negatives,
+            epochs,
+            lr0,
+            seed,
+        };
+        // Dimension 32 (the quick preset and perfbench) runs with a
+        // compile-time trip count; `0` is the sentinel for "read
+        // `self.dim` at run time" — same code, generic loops.
         match self.dim {
-            32 => self.train_path::<32>(corpus, table, window, negatives, epochs, lr0, seed),
-            64 => self.train_path::<64>(corpus, table, window, negatives, epochs, lr0, seed),
-            128 => self.train_path::<128>(corpus, table, window, negatives, epochs, lr0, seed),
-            _ => self.train_path::<0>(corpus, table, window, negatives, epochs, lr0, seed),
+            32 => kernel::dispatch(Train::<32> { model: self, args }),
+            _ => kernel::dispatch(Train::<0> { model: self, args }),
         }
-    }
-
-    /// Second dispatch level: pick the kernel family once per `train`
-    /// call (see [`SgnsModel::train`] — this match used to sit inside
-    /// every row operation).
-    #[allow(clippy::too_many_arguments)]
-    fn train_path<const DIM: usize>(
-        &mut self,
-        corpus: &WalkCorpus,
-        table: &NegativeTable,
-        window: usize,
-        negatives: usize,
-        epochs: usize,
-        lr0: f64,
-        seed: u64,
-    ) -> TrainStats {
-        match kernel::active_path() {
-            kernel::KernelPath::Scalar => self.train_with::<kernel::ScalarKernels, DIM>(
-                corpus, table, window, negatives, epochs, lr0, seed,
-            ),
-            kernel::KernelPath::Wide => self.train_with::<kernel::WideKernels, DIM>(
-                corpus, table, window, negatives, epochs, lr0, seed,
-            ),
-            kernel::KernelPath::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Avx2` is only selected after runtime AVX2
-                // detection (see `KernelPath::from_env`).
-                unsafe {
-                    self.train_avx2::<DIM>(corpus, table, window, negatives, epochs, lr0, seed)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                self.train_with::<kernel::WideKernels, DIM>(
-                    corpus, table, window, negatives, epochs, lr0, seed,
-                )
-            }
-        }
-    }
-
-    /// The wide train body compiled with AVX2 enabled: everything from
-    /// the walk loop down to the kernel lane loops inlines into this
-    /// function (`#[inline(always)]` chain), so LLVM vectorises the
-    /// per-pair math with 256-bit registers. Same IEEE op sequence as
-    /// every other instantiation.
-    ///
-    /// Safety: the caller must ensure the CPU supports AVX2 (runtime
-    /// detection via `KernelPath::from_env` or an explicit
-    /// `is_x86_feature_detected!` check).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn train_avx2<const DIM: usize>(
-        &mut self,
-        corpus: &WalkCorpus,
-        table: &NegativeTable,
-        window: usize,
-        negatives: usize,
-        epochs: usize,
-        lr0: f64,
-        seed: u64,
-    ) -> TrainStats {
-        self.train_with::<kernel::WideKernels, DIM>(
-            corpus, table, window, negatives, epochs, lr0, seed,
-        )
     }
 
     /// The train loop body, generic over the kernel family and the
-    /// (optionally const) dimension (see [`SgnsModel::train`] for why
-    /// dispatch lives at this level).
-    #[allow(clippy::too_many_arguments)]
+    /// (optionally const) dimension; run through [`Train`].
     #[allow(clippy::needless_range_loop)] // window positions index the walk
     #[inline(always)]
-    fn train_with<K: kernel::Kernels, const DIM: usize>(
-        &mut self,
-        corpus: &WalkCorpus,
-        table: &NegativeTable,
-        window: usize,
-        negatives: usize,
-        epochs: usize,
-        lr0: f64,
-        seed: u64,
-    ) -> TrainStats {
+    fn train_with<K: Kernels, const DIM: usize>(&mut self, args: TrainArgs) -> TrainStats {
+        let TrainArgs {
+            corpus,
+            table,
+            window,
+            negatives,
+            epochs,
+            lr0,
+            seed,
+        } = args;
         let mut rng = DetRng::seed_from_u64(seed);
         let mut stats = TrainStats {
             updates: 0,
@@ -758,10 +675,38 @@ impl SgnsModel {
     }
 }
 
+/// The arguments of one [`SgnsModel::train`] call.
+#[derive(Clone, Copy)]
+struct TrainArgs<'a> {
+    corpus: &'a WalkCorpus,
+    table: &'a NegativeTable,
+    window: usize,
+    negatives: usize,
+    epochs: usize,
+    lr0: f64,
+    seed: u64,
+}
+
+/// One [`SgnsModel::train`] call as a kernel task, at compile-time
+/// dimension `DIM` (`0`: the model's run-time dimension).
+struct Train<'a, const DIM: usize> {
+    model: &'a mut SgnsModel,
+    args: TrainArgs<'a>,
+}
+
+impl<const DIM: usize> KernelTask for Train<'_, DIM> {
+    type Output = TrainStats;
+    #[inline(always)]
+    fn run<K: Kernels>(self) -> TrainStats {
+        self.model.train_with::<K, DIM>(self.args)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dbgraph::{Graph, WalkConfig, Walker};
+    use stembed_runtime::kernel::KernelPath;
 
     fn clique_pair_corpus(seed: u64) -> (Graph, WalkCorpus, Vec<usize>) {
         // Two 5-cliques joined by one bridge edge.
@@ -789,43 +734,56 @@ mod tests {
         (g, corpus, counts)
     }
 
-    /// Every `train` instantiation — scalar reference, portable wide,
-    /// the const-dim specialisations, and (where the CPU has it) the
-    /// AVX2 recompilation — produces bit-identical embeddings: the
-    /// dispatch hoisted into `train` must never change output.
+    /// Every `train` instantiation — the dynamic-dimension body and the
+    /// DIM = 32 specialisation, on every available kernel path (scalar
+    /// reference, portable wide, and the AVX2 recompilation where the CPU
+    /// has it) — produces bit-identical embeddings: the kernel dispatch
+    /// must never change output.
     #[test]
     fn train_paths_agree_bitwise() {
         let (_, corpus, counts) = clique_pair_corpus(11);
         let table = NegativeTable::new(&counts);
-        let run = |f: &mut dyn FnMut(&mut SgnsModel) -> TrainStats| {
+        let args = TrainArgs {
+            corpus: &corpus,
+            table: &table,
+            window: 3,
+            negatives: 5,
+            epochs: 3,
+            lr0: 0.05,
+            seed: 2,
+        };
+        let run = |path, const_dim: bool| {
             // dim 32 exercises the DIM=32 specialisation against the
-            // dynamic (DIM=0) body below.
+            // dynamic (DIM=0) body.
             let mut model = SgnsModel::new(counts.len(), 32, 1);
-            let stats = f(&mut model);
+            let stats = if const_dim {
+                kernel::run_on(
+                    path,
+                    Train::<32> {
+                        model: &mut model,
+                        args,
+                    },
+                )
+            } else {
+                kernel::run_on(
+                    path,
+                    Train::<0> {
+                        model: &mut model,
+                        args,
+                    },
+                )
+            };
             let bits: Vec<u32> = model.in_vecs.iter().map(|v| v.to_bits()).collect();
             (stats.last_epoch_loss.to_bits(), bits)
         };
-        let scalar = run(&mut |m| {
-            m.train_with::<kernel::ScalarKernels, 0>(&corpus, &table, 3, 5, 3, 0.05, 2)
-        });
-        let wide =
-            run(&mut |m| m.train_with::<kernel::WideKernels, 0>(&corpus, &table, 3, 5, 3, 0.05, 2));
-        let scalar32 = run(&mut |m| {
-            m.train_with::<kernel::ScalarKernels, 32>(&corpus, &table, 3, 5, 3, 0.05, 2)
-        });
-        let wide32 = run(&mut |m| {
-            m.train_with::<kernel::WideKernels, 32>(&corpus, &table, 3, 5, 3, 0.05, 2)
-        });
-        assert_eq!(scalar, wide, "scalar vs wide train");
-        assert_eq!(scalar, scalar32, "dynamic vs const-dim scalar train");
-        assert_eq!(scalar, wide32, "scalar vs const-dim wide train");
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let avx2 = run(&mut |m| {
-                // SAFETY: AVX2 presence checked just above.
-                unsafe { m.train_avx2::<32>(&corpus, &table, 3, 5, 3, 0.05, 2) }
-            });
-            assert_eq!(scalar, avx2, "scalar vs avx2 train");
+        let scalar = run(KernelPath::Scalar, false);
+        for &path in kernel::available_paths() {
+            assert_eq!(scalar, run(path, false), "scalar vs {path:?} train");
+            assert_eq!(
+                scalar,
+                run(path, true),
+                "scalar vs const-dim {path:?} train"
+            );
         }
     }
 
